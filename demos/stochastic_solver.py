@@ -61,7 +61,7 @@ print("=" * 70)
 print("3. Real noise widens the per-step gain requirement")
 print("=" * 70)
 
-# With noise the step test carries a sqrt(kappa) * rank / mu slack, so the
+# With noise the step test carries a sqrt(kappa) * n / mu slack, so the
 # solver only accepts steps whose measured gain beats threshold plus slack.
 for theta in (0.1, 0.25):
     cfg_noisy = SolverConfig(

@@ -32,7 +32,6 @@ from .objectives import (
     make_coverage_instance,
     make_semimetric_instance,
     random_semimetric_instance,
-    sample_stoch_gradient,
     verify_eta_local,
     verify_oss,
     verify_semimetric,
@@ -42,14 +41,11 @@ from .polytopes import (
     CardinalityPolytope,
     MonotoneLinearPolytope,
     Polytope,
-    basis_directions,
-    membership,
     opt_bounds,
 )
 from .solvers import (
     DirectionSet,
     GradientEstimate,
-    choose_step_size,
     grid_maximum,
     initial_gradient_estimate,
     kappa_envelope,
@@ -86,8 +82,6 @@ __all__ = [
     "TraceSnapshot",
     "VerificationReport",
     "Vector",
-    "basis_directions",
-    "choose_step_size",
     "contraction_factor",
     "default_outer_round_cap",
     "grid_maximum",
@@ -98,13 +92,11 @@ __all__ = [
     "kappa_envelope",
     "make_coverage_instance",
     "make_semimetric_instance",
-    "membership",
     "momentum_weight",
     "opt_bounds",
     "parallel_greedy",
     "random_semimetric_instance",
     "read_instance",
-    "sample_stoch_gradient",
     "select_directions",
     "serial_greedy",
     "stochastic_parallel_greedy",

@@ -20,7 +20,7 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A solver cannot continue (bad oracle output, missing basis, ...)."""
+    """A solver cannot continue (bad oracle output, dimension mismatch, ...)."""
 
 
 class RoundLimitError(SolverError):

@@ -333,7 +333,6 @@ class StochasticObjective:
         self.noise = noise
         self._seed_seq = np.random.SeedSequence(seed)
         self._rng = np.random.default_rng(self._seed_seq)
-        self._spawned = 0
         self._gradient_samples = _CallCounter()
         self._value_batches = _CallCounter()
 
@@ -355,7 +354,6 @@ class StochasticObjective:
 
     def spawn(self) -> "StochasticObjective":
         """Independent stream over the same ground truth, for concurrent callers."""
-        self._spawned += 1
         child = StochasticObjective(self.ground_truth, self.theta, noise=self.noise)
         child._seed_seq = self._seed_seq.spawn(1)[0]
         child._rng = np.random.default_rng(child._seed_seq)
@@ -388,11 +386,6 @@ class StochasticObjective:
         else:
             draws = self._rng.normal(0.0, self.theta, size=n_samples)
         return base + float(draws.mean())
-
-
-def sample_stoch_gradient(sobj: StochasticObjective, x) -> Vector:
-    """One gradient sample from the stochastic oracle (counts one query)."""
-    return sobj.sample_gradient(x)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Feasible regions: box, cardinality, and ordered-coordinate polytopes.
 
-Every polytope here is implicitly intersected with the unit box.  The basis
-directions are the standard unit vectors of the coordinates that can increase
-inside the region; feasibility of a tentative step is always re-checked with
-the membership test, so the solvers never need a downward-closed region.
+Every polytope here is implicitly intersected with the unit box.  The solvers
+move coordinates up, singly or in groups, and ask the region two closed-form
+questions: which coordinates can take a small step on their own
+(:meth:`Polytope.movable`) and how far a group can move together
+(:meth:`Polytope.headroom`).  Known gap: on a non-downward-closed region a
+coordinate tied with the coordinate that dominates it cannot move alone, so a
+tied chain whose dominating coordinate never clears the threshold stalls at
+the jump start.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -21,27 +25,18 @@ class Polytope:
     """Base feasible region ``P ∩ [0,1]^n``.
 
     Subclasses override :meth:`_satisfies` / :meth:`_satisfies_many` with
-    their defining inequalities and set ``max_l1_point`` (a feasible point of
-    maximal l1 norm) plus ``bounding_point`` (a componentwise upper bound of
-    the region, used for the optimal-value upper bound).
+    their defining inequalities, :meth:`movable` / :meth:`headroom` with the
+    same inequalities in closed form, and set ``max_l1_point`` (a feasible
+    point of maximal l1 norm) plus ``bounding_point`` (a componentwise upper
+    bound of the region, used for the optimal-value upper bound).
     """
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         self.dimension = int(dimension)
-        self._basis = np.eye(self.dimension)
         self.max_l1_point: Vector = np.ones(self.dimension)
         self.bounding_point: Vector = np.ones(self.dimension)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Basis directions, one unit vector per row; each row has l1 norm 1."""
-        return self._basis
-
-    @property
-    def rank(self) -> int:
-        return self._basis.shape[0]
 
     def contains(self, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         x = np.asarray(x, dtype=float)
@@ -59,6 +54,24 @@ class Polytope:
         if ok.any():
             ok[ok] = self._satisfies_many(X[ok], tol)
         return ok
+
+    def movable(self, x, step: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
+        """Mask of the coordinates ``i`` with ``x + step * e_i`` in the region within ``tol``.
+
+        Row for row the answer of :meth:`contains_many` on the probe matrix
+        ``x + step * I``, without building it.
+        """
+        x = np.asarray(x, dtype=float)
+        failing = ~self._coordinates_ok(x, tol)
+        # row i: coordinate i passes once moved and no other coordinate fails
+        return self._coordinates_ok(x + step, tol) & (np.count_nonzero(failing) == failing)
+
+    def headroom(self, x, members) -> float:
+        """Largest ``delta`` with ``x + delta * 1_S`` in the region, ``S = members`` (nonempty)."""
+        return float(np.min(1.0 - np.asarray(x, dtype=float)[members]))
+
+    def _coordinates_ok(self, x: np.ndarray, tol: float) -> np.ndarray:
+        return (x >= -tol) & (x <= 1.0 + tol)
 
     def _satisfies(self, x: np.ndarray, tol: float) -> bool:
         return True
@@ -88,6 +101,12 @@ class BoxPolytope(Polytope):
     def _satisfies_many(self, X, tol):
         return np.all(X <= self.upper + tol, axis=1)
 
+    def _coordinates_ok(self, x, tol):
+        return super()._coordinates_ok(x, tol) & (x <= self.upper + tol)
+
+    def headroom(self, x, members):
+        return float(np.min(self.upper[members] - np.asarray(x, dtype=float)[members]))
+
     def describe(self):
         return {"kind": "box", "upper": self.upper.tolist()}
 
@@ -113,6 +132,13 @@ class CardinalityPolytope(Polytope):
 
     def _satisfies_many(self, X, tol):
         return X.sum(axis=1) <= self.budget + tol
+
+    def movable(self, x, step, tol=DEFAULT_MEMBERSHIP_TOL):
+        return super().movable(x, step, tol) & (float(np.sum(x)) + step <= self.budget + tol)
+
+    def headroom(self, x, members):
+        fill = (self.budget - float(np.sum(x))) / len(members)
+        return min(super().headroom(x, members), fill)
 
     def describe(self):
         return {"kind": "cardinality", "budget": self.budget}
@@ -146,27 +172,43 @@ class MonotoneLinearPolytope(Polytope):
     def _satisfies_many(self, X, tol):
         return np.all(X[:, self._lo] <= X[:, self._hi] + tol, axis=1)
 
+    def movable(self, x, step, tol=DEFAULT_MEMBERSHIP_TOL):
+        # a probe moves one end of a pair at most (i != j), so pair p fails in
+        # row i as it fails at x unless i is its low end or its high end
+        x = np.asarray(x, dtype=float)
+        lo, hi, n = self._lo, self._hi, self.dimension
+        fails = ~(x[lo] <= x[hi] + tol)
+        lo_moved = ~(x[lo] + step <= x[hi] + tol)
+        hi_moved = ~(x[lo] <= (x[hi] + step) + tol)
+        failing = (
+            np.count_nonzero(fails)
+            - np.bincount(lo, fails, n) - np.bincount(hi, fails, n)
+            + np.bincount(lo, lo_moved, n) + np.bincount(hi, hi_moved, n)
+        )
+        return super().movable(x, step, tol) & (failing == 0)
+
+    def headroom(self, x, members):
+        x = np.asarray(x, dtype=float)
+        inside = np.zeros(self.dimension, dtype=bool)
+        inside[members] = True
+        leaving = inside[self._lo] & ~inside[self._hi]
+        room = super().headroom(x, members)
+        if leaving.any():
+            room = min(room, float(np.min(x[self._hi[leaving]] - x[self._lo[leaving]])))
+        return room
+
     def describe(self):
         return {"kind": "monotone-linear", "pairs": [list(p) for p in self.pairs]}
 
 
-def basis_directions(polytope: Polytope) -> List[Vector]:
-    """The stored basis directions in deterministic order."""
-    return [row.copy() for row in polytope.basis]
-
-
-def membership(polytope: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """True iff ``x`` lies in the region within ``tol`` slack per inequality."""
-    return polytope.contains(x, tol)
-
-
-def opt_bounds(objective, polytope: Polytope, trace=None) -> Tuple[float, float]:
+def opt_bounds(objective, polytope: Polytope) -> Tuple[float, float]:
     """Bracket the optimum of a monotone normalized objective over the region.
 
     The lower bound evaluates the objective at the feasible max-l1 point.
     The upper bound evaluates it at the all-ones point and at the region's
     componentwise bounding point and takes the smaller; monotonicity makes
-    both valid upper bounds.
+    both valid upper bounds.  Points are evaluated once each, in that order;
+    ``objective`` needs only a ``value`` method.
     """
     points = [polytope.max_l1_point, np.ones(polytope.dimension), polytope.bounding_point]
     values = {}
@@ -174,8 +216,6 @@ def opt_bounds(objective, polytope: Polytope, trace=None) -> Tuple[float, float]
         key = p.tobytes()
         if key not in values:
             values[key] = objective.value(p)
-            if trace is not None:
-                trace.value_queries += 1
     lower = values[points[0].tobytes()]
     upper = min(values[points[1].tobytes()], values[points[2].tobytes()])
     return lower, upper

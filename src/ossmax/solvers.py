@@ -1,12 +1,14 @@
 """Threshold-greedy ascent solvers and the exhaustive grid oracle.
 
-The deterministic solver sweeps a threshold down from an upper bound on the
-optimum.  At each level it selects every basis direction whose gradient inner
-product clears the threshold, advances all selected coordinates together by
-the largest step that keeps a per-step gain test satisfied, and decays the
-threshold when no direction qualifies or no admissible step remains.  The
-stochastic variant replaces the gradient with a momentum-averaged estimate
-built from noisy samples and widens the gain test by a variance envelope.
+Both parallel solvers run one threshold sweep down from an upper bound on
+the optimum.  At each level it selects every movable coordinate whose
+gradient entry clears the threshold, advances all selected coordinates
+together by the largest step that keeps a per-step gain test satisfied and
+stays inside the region, and decays the threshold when no coordinate
+qualifies or no admissible step remains.  The deterministic solver feeds the
+sweep exact gradients and values; the stochastic solver feeds it a
+momentum-averaged gradient estimate built from noisy samples, empirical
+values, and a gain test widened by a variance envelope.
 
 Accounting: a value query is one objective evaluation (one empirical batch
 for the stochastic solver), a gradient query is one gradient evaluation (one
@@ -46,8 +48,8 @@ _LAMBDA_FLOOR_SCALE = 1e-12
 def _lambda_floor(mu: float, lower: float, upper: float, polytope: Polytope) -> float:
     """Threshold level below which the outer loop stops.
 
-    Selection compares per-direction inner products (per-unit-l1-mass
-    quantities) against the threshold, while the optimum bounds live at
+    Selection compares gradient entries (per-unit-l1-mass quantities)
+    against the threshold, while the optimum bounds live at
     total mass up to the max-l1 norm of the region, so the lower bound is
     rescaled by that mass before the ``exp(-mu)`` stopping margin is
     applied.  Rescaling only lowers the floor, i.e. only lengthens the run.
@@ -58,11 +60,9 @@ def _lambda_floor(mu: float, lower: float, upper: float, polytope: Polytope) -> 
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Basis indices selected at one threshold level."""
+    """Coordinates selected at one threshold level."""
 
     members: np.ndarray
-    threshold: float
-    round_index: int
 
 
 @dataclass(frozen=True)
@@ -109,69 +109,70 @@ def kappa_envelope(
 
 def select_directions(
     gradient,
-    basis: np.ndarray,
     lam: float,
     cfg: SolverConfig,
     trace: Optional[SolverTrace] = None,
     candidates: Optional[np.ndarray] = None,
-    round_index: int = 0,
 ) -> DirectionSet:
-    """All basis directions whose inner product clears ``(1-eps) * mu * lam``.
+    """All coordinates whose gradient entry clears ``(1-eps) * mu * lam``.
 
-    The inner products form one batched scan with no cross-dependency, so a
+    The comparisons form one batched scan with no cross-dependency, so a
     call counts exactly one adaptive round on the trace.  ``candidates``
-    optionally restricts selection to directions that can still move.
+    optionally restricts selection to coordinates that can still move.
     """
-    g = np.asarray(gradient, dtype=float)
-    scores = basis @ g
+    scores = np.asarray(gradient, dtype=float)
     cutoff = (1.0 - cfg.epsilon) * cfg.mu * lam - cfg.value_tol
     mask = scores >= cutoff
     if candidates is not None:
         mask &= candidates
     if trace is not None:
         trace.adaptive_rounds += 1
-    return DirectionSet(members=np.flatnonzero(mask), threshold=float(lam), round_index=round_index)
+    return DirectionSet(members=np.flatnonzero(mask))
 
 
-def _feasible_cap(polytope: Optional[Polytope], x: Vector, v: Vector, cap: float, cfg: SolverConfig) -> float:
-    """Largest step along ``v`` from ``x`` that stays inside the region, up to ``cap``.
+def _moved(x: Vector, members: np.ndarray, delta: float) -> Vector:
+    """``x + delta * 1_S`` for ``S = members``."""
+    y = x.copy()
+    y[members] += delta
+    return y
 
-    Membership tests are closed-form, so the bisection costs no oracle work.
-    """
-    if polytope is None or polytope.contains(x + cap * v, cfg.value_tol):
-        return cap
-    lo, hi = 0.0, cap
-    while hi - lo > cfg.delta_tol:
-        mid = 0.5 * (lo + hi)
-        if polytope.contains(x + mid * v, cfg.value_tol):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+
+def _step_cap(cfg: SolverConfig, dimension: int, fill: float, quadratic_mu: bool = False) -> float:
+    """Per-step cap: min(1/(n*eta), 1/(mu^p (1-eps)), headroom to the unit box)."""
+    mu = cfg.mu
+    terms = [1.0 - fill]
+    if cfg.eta > 0.0:
+        terms.append(1.0 / (dimension * cfg.eta))
+    power = 2.0 if quadratic_mu else 1.0
+    terms.append(1.0 / (mu**power * (1.0 - cfg.epsilon)))
+    return min(terms)
 
 
 def _line_search(
     evaluate: Callable[[np.ndarray], float],
     fx: float,
     x: Vector,
-    v: Vector,
+    members: np.ndarray,
     rate: float,
-    cap: float,
-    polytope: Optional[Polytope],
+    polytope: Polytope,
     cfg: SolverConfig,
     trace: Optional[SolverTrace],
+    quadratic_mu: bool = False,
 ) -> Tuple[float, Optional[float]]:
-    """Largest step in [delta_tol, cap] whose gain beats ``rate * delta``.
+    """Largest step in [delta_tol, cap] for ``x[members]`` whose gain beats ``rate * delta``.
 
-    Probes the cap first (so flat gain tests return the cap exactly), then
-    doubles from delta_tol and bisects to delta_tol resolution.  Returns
-    (0, None) when even delta_tol fails, signalling a stale direction set.
-    All probes of one search are batchable, so the search counts one
-    adaptive round.
+    The cap is the smaller of :func:`_step_cap` at the members' fill and the
+    region's headroom for the group.  Probes the cap first (so flat gain
+    tests return the cap exactly), then doubles from delta_tol and bisects
+    to delta_tol resolution.  Returns (step, value there), or (0, None) when
+    the group is empty, the cap is below delta_tol, or even delta_tol fails,
+    signalling a stale set.  All probes of one search are batchable, so the
+    search counts one adaptive round.
     """
-    if cap < cfg.delta_tol:
+    if members.size == 0:
         return 0.0, None
-    cap = _feasible_cap(polytope, x, v, cap, cfg)
+    fill = float(x[members].max())
+    cap = min(_step_cap(cfg, len(x), fill, quadratic_mu), polytope.headroom(x, members))
     if cap < cfg.delta_tol:
         return 0.0, None
 
@@ -181,7 +182,7 @@ def _line_search(
     def probe(delta: float) -> float:
         nonlocal probes
         probes += 1
-        return evaluate(x + delta * v)
+        return evaluate(_moved(x, members, delta))
 
     def passes(delta: float, f_at: float) -> bool:
         return f_at - fx >= rate * delta - slack
@@ -217,61 +218,177 @@ def _line_search(
             trace.adaptive_rounds += 1
 
 
-def _step_cap(cfg: SolverConfig, dimension: int, fill: float, quadratic_mu: bool = False) -> float:
-    """Per-step cap: min(1/(n*eta), 1/(mu^p (1-eps)), headroom to the unit box)."""
-    mu = cfg.mu
-    terms = [1.0 - fill]
-    if cfg.eta > 0.0:
-        terms.append(1.0 / (dimension * cfg.eta))
-    power = 2.0 if quadratic_mu else 1.0
-    terms.append(1.0 / (mu**power * (1.0 - cfg.epsilon)))
-    return min(terms)
+class _ExactGradient:
+    """Gradient source of the deterministic solver: the exact gradient at each new point."""
+
+    def __init__(self, obj: OssObjective, trace: SolverTrace):
+        self.obj, self.trace = obj, trace
+
+    def refresh(self, x: Vector, clock: float) -> None:
+        pass
+
+    def direction(self, x: Vector) -> Vector:
+        self.trace.gradient_queries += 1
+        return self.obj.gradient(x)
 
 
-def choose_step_size(
-    obj: OssObjective,
-    x,
-    members,
-    lam: float,
-    t: float,
-    cfg: SolverConfig,
-    polytope: Optional[Polytope] = None,
-    basis: Optional[np.ndarray] = None,
-    trace: Optional[SolverTrace] = None,
-) -> float:
-    """Largest admissible step size for the selected directions.
+class _MomentumGradient:
+    """Gradient source of the stochastic solver: a momentum-averaged estimate.
 
-    The candidate range is [delta_tol, cap] with
-    ``cap = min(1/(n*eta), 1/(mu*(1-eps)), 1 - t)``, shrunk further by
-    region membership along the summed direction.  Within the range the
-    accepted step is the largest whose objective gain is at least
-    ``mu * (1-eps)^2 * delta * lam``.  Returns 0 when no step of at least
-    delta_tol qualifies.
+    Each refresh folds in one noisy sample and counts one gradient query and
+    one adaptive round.
     """
-    x = np.asarray(x, dtype=float)
-    members = np.asarray(members, dtype=int)
-    if members.size == 0:
-        return 0.0
-    if basis is None:
-        basis = np.eye(len(x))
-    v = basis[members].sum(axis=0)
-    rate = cfg.mu * (1.0 - cfg.epsilon) ** 2 * lam
-    cap = _step_cap(cfg, len(x), t)
 
-    def evaluate(point):
-        if trace is not None:
-            trace.value_queries += 1
-        return obj.value(point)
+    def __init__(self, sobj: StochasticObjective, trace: SolverTrace):
+        self.sobj, self.trace = sobj, trace
+        self.estimate = initial_gradient_estimate(sobj.dimension)
 
-    fx = evaluate(x)
-    delta, _ = _line_search(evaluate, fx, x, v, rate, cap, polytope, cfg, trace)
-    return delta
+    def refresh(self, x: Vector, clock: float) -> None:
+        self.trace.gradient_queries += 1
+        self.trace.adaptive_rounds += 1
+        sample = check_finite(self.sobj.sample_gradient(x), "stochastic gradient sample")
+        self.estimate = update_gradient_estimate(self.estimate, sample, clock)
+
+    def direction(self, x: Vector) -> Vector:
+        return self.estimate.d
 
 
-def _movable_mask(polytope: Polytope, x: Vector, cfg: SolverConfig) -> np.ndarray:
-    """Directions that can still take a delta_tol step inside the region."""
-    probes = x[None, :] + cfg.delta_tol * polytope.basis
-    return polytope.contains_many(probes, cfg.value_tol)
+class _ExactGain:
+    """Gain test ``mu (1-eps)^2 lam`` on exact values.
+
+    The search's value at the accepted step becomes the current value.
+    """
+
+    quadratic_mu = False
+
+    def __init__(self, obj: OssObjective, cfg: SolverConfig, trace: SolverTrace):
+        self.obj, self.cfg, self.trace = obj, cfg, trace
+
+    def value(self, point) -> float:
+        self.trace.value_queries += 1
+        return self.obj.value(point)
+
+    def test(self, x: Vector, fx: float, lam: float, t: float) -> Tuple[float, float]:
+        """(rate, base value) of a step search from ``x``."""
+        return self.cfg.mu * (1.0 - self.cfg.epsilon) ** 2 * lam, fx
+
+    def settle(self, x: Vector, f_step: float) -> float:
+        return f_step
+
+
+class _EmpiricalGain:
+    """Gain test widened by ``sqrt(kappa) * n / mu``, on empirical values.
+
+    ``kappa`` is the variance envelope from the configured constants.  Each
+    search starts from a fresh empirical mean of ``spg_batch`` samples at
+    ``x``.  Reported values read the wrapped ground truth for monitoring;
+    the solver's decisions never touch it.
+    """
+
+    quadratic_mu = True
+
+    def __init__(self, sobj: StochasticObjective, cfg: SolverConfig, trace: SolverTrace):
+        self.sobj, self.cfg, self.trace = sobj, cfg, trace
+        self.kappa_numerator = 16.0 * cfg.noise_theta**2 + 2.0 * (cfg.lipschitz_L**2) * (cfg.diameter_D**2)
+        if not math.isfinite(self.kappa_numerator):
+            raise SolverError("variance envelope is non-finite; check L, D, theta")
+
+    def value(self, point) -> float:
+        self.trace.value_queries += 1
+        v = self.sobj.empirical_value(point, self.cfg.spg_batch)
+        if not math.isfinite(v):
+            raise SolverError("empirical value is non-finite")
+        return v
+
+    def test(self, x: Vector, fx: float, lam: float, t: float) -> Tuple[float, float]:
+        mu, n = self.cfg.mu, len(x)
+        kappa = self.kappa_numerator / (t + 9.0) ** (2.0 / 3.0)
+        rate = mu * (1.0 - self.cfg.epsilon) ** 2 * (lam + math.sqrt(kappa) * n / mu)
+        return rate, self.value(x)
+
+    def settle(self, x: Vector, f_step: float) -> float:
+        return self.sobj.ground_truth.value(x)
+
+
+def _check_dimensions(obj_dimension: int, polytope: Polytope) -> None:
+    if obj_dimension != polytope.dimension:
+        raise SolverError(f"objective dimension {obj_dimension} != polytope dimension {polytope.dimension}")
+
+
+def _threshold_sweep(
+    polytope: Polytope,
+    cfg: SolverConfig,
+    trace: SolverTrace,
+    source,
+    gain,
+    x: Vector,
+    t: float,
+    fx: float,
+    bounds: Tuple[float, float],
+    selection_log: Optional[list],
+) -> Solution:
+    """The threshold sweep shared by both parallel solvers.
+
+    Starts the threshold at the optimum's upper bound.  At each level it
+    selects every movable coordinate whose ``source`` direction clears the
+    cutoff, moves the selected coordinates together by the largest step that
+    passes ``gain``'s test, and selects again at the same level; it decays
+    the threshold by ``1 - eps`` when nothing is selected or no step remains.
+    It stops when no coordinate can move or the threshold falls below
+    ``exp(-mu)`` times the lower bound.  Raises RoundLimitError if the
+    outer loop exceeds its safety cap.
+
+    ``source`` is refreshed at the start point and after every accepted step,
+    with the clock from before the step.  ``selection_log``, when given,
+    collects ``(lam, direction, candidates, members)`` tuples for selection
+    replay.
+    """
+    lower, upper = bounds
+    lam = upper
+    trace.record(t, lam, 0.0, 0, fx)
+    if upper <= cfg.value_tol:
+        # objective is flat at the top of the box; nothing to gain
+        return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
+
+    def scan(direction: Vector) -> np.ndarray:
+        members = select_directions(direction, lam, cfg, trace=trace, candidates=movable).members
+        if selection_log is not None:
+            selection_log.append((lam, direction.copy(), movable.copy(), members.copy()))
+        return members
+
+    floor = _lambda_floor(cfg.mu, lower, upper, polytope)
+    source.refresh(x, t)
+    movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
+    direction = source.direction(x)
+
+    while lam >= floor and movable.any():
+        trace.outer_rounds += 1
+        if trace.outer_rounds > cfg.max_outer_rounds:
+            raise RoundLimitError(
+                f"outer threshold loop exceeded {cfg.max_outer_rounds} rounds"
+            )
+        members = scan(direction)
+        while members.size:
+            rate, f_base = gain.test(x, fx, lam, t)
+            delta, f_step = _line_search(
+                gain.value, f_base, x, members, rate, polytope, cfg, trace, gain.quadratic_mu
+            )
+            if delta <= 0.0:
+                break  # stale set at this threshold
+            x = np.minimum(_moved(x, members, delta), 1.0)
+            source.refresh(x, t)
+            t = float(x.max())
+            fx = gain.settle(x, f_step)
+            trace.inner_rounds += 1
+            trace.record(t, lam, delta, members.size, fx)
+            movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
+            if not movable.any():
+                break
+            direction = source.direction(x)
+            members = scan(direction)
+        lam *= 1.0 - cfg.epsilon
+
+    return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
 
 
 def parallel_greedy(
@@ -282,85 +399,23 @@ def parallel_greedy(
 ) -> Solution:
     """Deterministic jump-started threshold greedy.
 
-    Starts from ``alpha`` times the region's max-l1 point, initializes the
-    threshold at the optimum's upper bound, and stops when every coordinate
-    is saturated or the threshold falls below ``exp(-mu)`` times the lower
-    bound.  Raises RoundLimitError if the outer loop exceeds its safety cap,
-    and SolverError on empty bases or non-finite oracle output.
+    Starts from ``alpha`` times the region's max-l1 point and runs the
+    threshold sweep on exact gradients and values.  Raises RoundLimitError
+    if the outer loop exceeds its safety cap, and SolverError on a dimension
+    mismatch or non-finite oracle output.
 
     ``selection_log``, when given, collects ``(lam, gradient, candidates,
     members)`` tuples for selection replay.
     """
-    n = polytope.dimension
-    if obj.dimension != n:
-        raise SolverError(f"objective dimension {obj.dimension} != polytope dimension {n}")
-    basis = polytope.basis
-    if basis.shape[0] == 0:
-        raise SolverError("polytope supplies no basis directions")
-    mu = cfg.mu
+    _check_dimensions(obj.dimension, polytope)
     trace = SolverTrace()
-
-    def value(point) -> float:
-        trace.value_queries += 1
-        return obj.value(point)
-
-    def gradient(point) -> Vector:
-        trace.gradient_queries += 1
-        return obj.gradient(point)
-
+    gain = _ExactGain(obj, cfg, trace)
     x = np.minimum(cfg.alpha * polytope.max_l1_point, 1.0)
-    t = cfg.alpha
-    lower, upper = opt_bounds(obj, polytope, trace=trace)
-    fx = value(x)
-    lam = upper
-    trace.record(t, lam, 0.0, 0, fx)
-    if upper <= cfg.value_tol:
-        # objective is flat at the top of the box; nothing to gain
-        return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
-
-    floor = _lambda_floor(mu, lower, upper, polytope)
-    movable = _movable_mask(polytope, x, cfg)
-    g = gradient(x)
-    round_index = 0
-
-    while lam >= floor and movable.any():
-        trace.outer_rounds += 1
-        if trace.outer_rounds > cfg.max_outer_rounds:
-            raise RoundLimitError(
-                f"outer threshold loop exceeded {cfg.max_outer_rounds} rounds"
-            )
-        selected = select_directions(
-            g, basis, lam, cfg, trace=trace, candidates=movable, round_index=round_index
-        )
-        round_index += 1
-        if selection_log is not None:
-            selection_log.append((lam, g.copy(), movable.copy(), selected.members.copy()))
-        while selected.members.size:
-            v = basis[selected.members].sum(axis=0)
-            fill = float(x[selected.members].max())
-            cap = _step_cap(cfg, n, fill)
-            rate = mu * (1.0 - cfg.epsilon) ** 2 * lam
-            delta, f_new = _line_search(value, fx, x, v, rate, cap, polytope, cfg, trace)
-            if delta <= 0.0:
-                break  # stale set at this threshold
-            x = np.minimum(x + delta * v, 1.0)
-            t = float(x.max())
-            fx = f_new if f_new is not None else value(x)
-            trace.inner_rounds += 1
-            trace.record(t, lam, delta, selected.members.size, fx)
-            movable = _movable_mask(polytope, x, cfg)
-            if not movable.any():
-                break
-            g = gradient(x)
-            selected = select_directions(
-                g, basis, lam, cfg, trace=trace, candidates=movable, round_index=round_index
-            )
-            round_index += 1
-            if selection_log is not None:
-                selection_log.append((lam, g.copy(), movable.copy(), selected.members.copy()))
-        lam *= 1.0 - cfg.epsilon
-
-    return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
+    bounds = opt_bounds(gain, polytope)
+    source = _ExactGradient(obj, trace)
+    return _threshold_sweep(
+        polytope, cfg, trace, source, gain, x, cfg.alpha, gain.value(x), bounds, selection_log
+    )
 
 
 def stochastic_parallel_greedy(
@@ -371,121 +426,38 @@ def stochastic_parallel_greedy(
 ) -> Solution:
     """Threshold greedy under sample access to values and gradients.
 
-    Starts from zero with a zero gradient estimate, refreshes the estimate
-    with one sample before the first selection (a zero estimate selects
-    nothing) and after every accepted step, and widens the per-step gain
-    requirement by ``sqrt(kappa) * rank / mu`` where ``kappa`` is the
-    variance envelope from the configured constants.  Objective values in
-    the gain test are empirical means of ``spg_batch`` fresh samples.
+    Starts from zero with a zero gradient estimate and runs the threshold
+    sweep on the momentum estimate, which is refreshed with one sample
+    before the first selection (a zero estimate selects nothing) and after
+    every accepted step.  The per-step gain requirement is widened by
+    ``sqrt(kappa) * n / mu``, where ``kappa`` is the variance envelope from
+    the configured constants, and objective values in the gain test and the
+    optimum bracket are empirical means of ``spg_batch`` fresh samples.
 
     Reported values and history snapshots read the wrapped ground truth for
     monitoring; the solver's decisions never touch it.
     """
-    n = sobj.dimension
-    if polytope.dimension != n:
-        raise SolverError(f"objective dimension {n} != polytope dimension {polytope.dimension}")
-    basis = polytope.basis
-    if basis.shape[0] == 0:
-        raise SolverError("polytope supplies no basis directions")
-    mu = cfg.mu
+    _check_dimensions(sobj.dimension, polytope)
     trace = SolverTrace()
-
-    def empirical(point) -> float:
-        trace.value_queries += 1
-        v = sobj.empirical_value(point, cfg.spg_batch)
-        if not math.isfinite(v):
-            raise SolverError("empirical value is non-finite")
-        return v
-
-    def refresh(estimate: GradientEstimate, point, at_t: float) -> GradientEstimate:
-        trace.gradient_queries += 1
-        trace.adaptive_rounds += 1
-        sample = check_finite(sobj.sample_gradient(point), "stochastic gradient sample")
-        return update_gradient_estimate(estimate, sample, at_t)
-
-    x = np.zeros(n)
-    t = 0.0
-    seen = {}
-    for point in (polytope.max_l1_point, np.ones(n), polytope.bounding_point):
-        key = point.tobytes()
-        if key not in seen:
-            seen[key] = empirical(point)
-    lower = seen[polytope.max_l1_point.tobytes()]
-    upper = min(seen[np.ones(n).tobytes()], seen[polytope.bounding_point.tobytes()])
-
-    truth = sobj.ground_truth
-    f_true = truth.value(x)
-    lam = upper
-    trace.record(t, lam, 0.0, 0, f_true)
-    if upper <= cfg.value_tol:
-        return Solution(x=x, value=f_true, trace=trace, lambda_final=lam, t_final=t)
-
-    kap_num = 16.0 * cfg.noise_theta**2 + 2.0 * (cfg.lipschitz_L**2) * (cfg.diameter_D**2)
-    if not math.isfinite(kap_num):
-        raise SolverError("variance envelope is non-finite; check L, D, theta")
-    floor = _lambda_floor(mu, lower, upper, polytope)
-    estimate = refresh(initial_gradient_estimate(n), x, t)
-    movable = _movable_mask(polytope, x, cfg)
-    round_index = 0
-
-    while lam >= floor and movable.any():
-        trace.outer_rounds += 1
-        if trace.outer_rounds > cfg.max_outer_rounds:
-            raise RoundLimitError(
-                f"outer threshold loop exceeded {cfg.max_outer_rounds} rounds"
-            )
-        selected = select_directions(
-            estimate.d, basis, lam, cfg, trace=trace, candidates=movable, round_index=round_index
-        )
-        round_index += 1
-        if selection_log is not None:
-            selection_log.append((lam, estimate.d.copy(), movable.copy(), selected.members.copy()))
-        while selected.members.size:
-            v = basis[selected.members].sum(axis=0)
-            fill = float(x[selected.members].max())
-            cap = _step_cap(cfg, n, fill, quadratic_mu=True)
-            kappa = kap_num / (t + 9.0) ** (2.0 / 3.0)
-            rate = mu * (1.0 - cfg.epsilon) ** 2 * (lam + math.sqrt(kappa) * polytope.rank / mu)
-            fx = empirical(x)
-            delta, _ = _line_search(empirical, fx, x, v, rate, cap, polytope, cfg, trace)
-            if delta <= 0.0:
-                break
-            x = np.minimum(x + delta * v, 1.0)
-            estimate = refresh(estimate, x, t)  # weight uses the pre-step clock
-            t = float(x.max())
-            f_true = truth.value(x)
-            trace.inner_rounds += 1
-            trace.record(t, lam, delta, selected.members.size, f_true)
-            movable = _movable_mask(polytope, x, cfg)
-            if not movable.any():
-                break
-            selected = select_directions(
-                estimate.d, basis, lam, cfg, trace=trace, candidates=movable, round_index=round_index
-            )
-            round_index += 1
-            if selection_log is not None:
-                selection_log.append(
-                    (lam, estimate.d.copy(), movable.copy(), selected.members.copy())
-                )
-        lam *= 1.0 - cfg.epsilon
-
-    return Solution(x=x, value=truth.value(x), trace=trace, lambda_final=lam, t_final=t)
+    gain = _EmpiricalGain(sobj, cfg, trace)
+    x = np.zeros(polytope.dimension)
+    bounds = opt_bounds(gain, polytope)
+    source = _MomentumGradient(sobj, trace)
+    return _threshold_sweep(
+        polytope, cfg, trace, source, gain, x, 0.0, sobj.ground_truth.value(x), bounds, selection_log
+    )
 
 
 def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> Solution:
-    """Single-direction ascent with the fixed conservative step ``eps / n``.
+    """Single-coordinate ascent with the fixed conservative step ``eps / n``.
 
-    Picks the best movable basis direction each step.  Every step is its own
-    oracle phase, so the adaptive-round count grows with the step count;
-    this is the baseline the parallel solver's adaptivity is measured
-    against, not a solver with guarantees.
+    Picks the movable coordinate with the largest gradient entry each step.
+    Every step is its own oracle phase, so the adaptive-round count grows
+    with the step count; this is the baseline the parallel solver's
+    adaptivity is measured against, not a solver with guarantees.
     """
+    _check_dimensions(obj.dimension, polytope)
     n = polytope.dimension
-    if obj.dimension != n:
-        raise SolverError(f"objective dimension {obj.dimension} != polytope dimension {n}")
-    basis = polytope.basis
-    if basis.shape[0] == 0:
-        raise SolverError("polytope supplies no basis directions")
     trace = SolverTrace()
 
     x = np.minimum(cfg.alpha * polytope.max_l1_point, 1.0)
@@ -501,21 +473,20 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
 
     step_limit = 4 * math.ceil(n * mass_scale / step) + 16 * n
     for _ in range(step_limit):
-        movable = _movable_mask(polytope, x, cfg)
+        movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
         if not movable.any():
             break
         trace.gradient_queries += 1
         trace.adaptive_rounds += 1
         g = obj.gradient(x)
-        scores = np.where(movable, basis @ g, -np.inf)
+        scores = np.where(movable, g, -np.inf)
         best = int(np.argmax(scores))
         if scores[best] <= cfg.value_tol:
             break  # no ascent direction left
-        v = basis[best]
-        delta = _feasible_cap(polytope, x, v, min(step, 1.0 - float(x[best])), cfg)
+        delta = min(step, polytope.headroom(x, [best]))
         if delta < cfg.delta_tol:
             break
-        x = np.minimum(x + delta * v, 1.0)
+        x = np.minimum(_moved(x, best, delta), 1.0)
         trace.value_queries += 1
         fx = obj.value(x)
         t = float(x.sum()) / mass_scale

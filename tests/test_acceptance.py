@@ -24,7 +24,6 @@ from ossmax import (
     kappa_envelope,
     make_coverage_instance,
     make_semimetric_instance,
-    membership,
     parallel_greedy,
     random_semimetric_instance,
     serial_greedy,
@@ -253,7 +252,7 @@ def test_criterion_06_spg_guarantee_shape(coverage_suite, coverage_grids):
         )
         noisy = stochastic_parallel_greedy(StochasticObjective(obj, 0.25, seed=2), polytope, cfg)
         kappa_final = kappa_envelope(noisy.t_final, 0.25, lipschitz, diameter)
-        slack_scale = cfg.mu * polytope.rank + 1.0
+        slack_scale = cfg.mu * polytope.dimension + 1.0
         bound = threshold * grid - slack_scale * math.sqrt(kappa_final)
         ok &= noisy.value >= bound
     _report(
@@ -319,7 +318,7 @@ def test_criterion_09_non_downward_closed():
     cfg = SolverConfig(epsilon=EPS)
     sol = parallel_greedy(objective, polytope, cfg)
     grid = grid_maximum(objective, polytope, GRID_RESOLUTION)
-    ok = membership(polytope, sol.x) and sol.value >= guaranteed_ratio(cfg) * grid
+    ok = polytope.contains(sol.x) and sol.value >= guaranteed_ratio(cfg) * grid
     _report(
         9,
         "ordered-coordinate polytope is solved end to end with the guaranteed ratio",

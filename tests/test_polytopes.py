@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ossmax import (
     BoxPolytope,
     CardinalityPolytope,
     MonotoneLinearPolytope,
-    basis_directions,
     grid_maximum,
     make_coverage_instance,
     make_semimetric_instance,
-    membership,
     opt_bounds,
 )
 
@@ -22,56 +22,33 @@ def linear_objective(n, coeffs=None):
     return make_semimetric_instance(points, coeffs)
 
 
-class TestBasis:
-    def test_box_basis_is_standard(self):
-        p = BoxPolytope(3, 1.0)
-        dirs = basis_directions(p)
-        assert len(dirs) == 3
-        assert np.allclose(np.stack(dirs), np.eye(3))
-
-    def test_cardinality_basis_is_standard(self):
-        p = CardinalityPolytope(4, 2)
-        dirs = basis_directions(p)
-        assert len(dirs) == 4
-        assert np.allclose(np.stack(dirs), np.eye(4))
-
-    @pytest.mark.parametrize(
-        "p",
-        [BoxPolytope(5, 0.7), CardinalityPolytope(6, 3), MonotoneLinearPolytope(2, [(0, 1)])],
-    )
-    def test_unit_l1_norm(self, p):
-        for nu in basis_directions(p):
-            assert np.abs(nu).sum() == pytest.approx(1.0)
-            assert np.all(nu >= 0.0)
-
-
 class TestMembership:
     def test_cardinality_boundary(self):
         p = CardinalityPolytope(3, 1)
-        assert membership(p, [0.5, 0.5, 0.0])
-        assert not membership(p, [0.6, 0.6, 0.0])
+        assert p.contains([0.5, 0.5, 0.0])
+        assert not p.contains([0.6, 0.6, 0.0])
 
     def test_box_boundary(self):
         p = BoxPolytope(2, [0.5, 1.0])
-        assert membership(p, [0.5, 1.0])
-        assert not membership(p, [0.6, 1.0])
+        assert p.contains([0.5, 1.0])
+        assert not p.contains([0.6, 1.0])
 
     def test_monotone_linear(self):
         p = MonotoneLinearPolytope(2, [(0, 1)])
-        assert membership(p, [0.3, 0.7])
-        assert not membership(p, [0.7, 0.3])
+        assert p.contains([0.3, 0.7])
+        assert not p.contains([0.7, 0.3])
 
     @pytest.mark.parametrize(
         "p",
         [BoxPolytope(4, 0.8), CardinalityPolytope(4, 2), MonotoneLinearPolytope(3, [(0, 1), (1, 2)])],
     )
     def test_zero_and_max_l1_feasible(self, p):
-        assert membership(p, np.zeros(p.dimension))
-        assert membership(p, p.max_l1_point)
+        assert p.contains(np.zeros(p.dimension))
+        assert p.contains(p.max_l1_point)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            membership(BoxPolytope(3), [0.1, 0.2])
+            BoxPolytope(3).contains([0.1, 0.2])
 
     @pytest.mark.parametrize(
         "p",
@@ -95,6 +72,67 @@ class TestMembership:
         many = p.contains_many(X)
         for row, ok in zip(X, many):
             assert p.contains(row) == bool(ok)
+
+
+@st.composite
+def regions(draw):
+    """A box, cardinality, chain or cycle region of dimension at most 6."""
+    kind = draw(st.sampled_from(["box", "cardinality", "chain", "cycle"]))
+    n = draw(st.integers(1 if kind in ("box", "cardinality") else 2, 6))
+    if kind == "box":
+        return BoxPolytope(n, draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    if kind == "cardinality":
+        return CardinalityPolytope(n, draw(st.floats(0.05, float(n))))
+    order = draw(st.permutations(range(n)))
+    pairs = list(zip(order[:-1], order[1:]))
+    if kind == "cycle":
+        pairs.append((order[-1], order[0]))
+    return MonotoneLinearPolytope(n, pairs)
+
+
+# grid values make ties and exact boundary hits likely; free floats cover the rest
+coordinates = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(-0.1, 1.1))
+
+
+def feasible_point(p, raw):
+    """Map a point of the unit cube into region ``p``."""
+    x = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
+    if isinstance(p, BoxPolytope):
+        return np.minimum(x, p.upper)
+    if isinstance(p, CardinalityPolytope):
+        return x * (p.budget / x.sum()) if x.sum() > p.budget else x
+    for _ in range(p.dimension):  # raise each dominating coordinate to its dominated one
+        np.maximum.at(x, p._hi, x[p._lo])
+    return x
+
+
+class TestClosedForms:
+    """Closed-form movability and headroom against the membership test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_movable_matches_probe_membership(self, data):
+        p = data.draw(regions())
+        n = p.dimension
+        x = np.array(data.draw(st.lists(coordinates, min_size=n, max_size=n)))
+        step = data.draw(st.one_of(st.sampled_from([1e-6, 0.25]), st.floats(1e-9, 0.5)))
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+        probes = x[None, :] + step * np.eye(n)
+        assert np.array_equal(p.movable(x, step, tol), p.contains_many(probes, tol))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_headroom_is_the_largest_feasible_step(self, data):
+        p = data.draw(regions())
+        n = p.dimension
+        x = feasible_point(p, data.draw(st.lists(coordinates, min_size=n, max_size=n)))
+        members = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        room = p.headroom(x, members)
+        group = np.zeros(n)
+        group[members] = 1.0
+        assert p.contains(x)
+        assert p.contains(x + room * group)
+        assert not p.contains(x + (room + 1e-7) * group)
 
 
 class TestOptBounds:

@@ -15,20 +15,22 @@ from ossmax import (
     SolverError,
     SolverTrace,
     StochasticObjective,
-    choose_step_size,
     grid_maximum,
     initial_gradient_estimate,
     kappa_envelope,
     make_coverage_instance,
     make_semimetric_instance,
-    membership,
     momentum_weight,
+    opt_bounds,
     parallel_greedy,
+    random_semimetric_instance,
     select_directions,
     serial_greedy,
     stochastic_parallel_greedy,
     update_gradient_estimate,
 )
+
+from ossmax.solvers import _ExactGain, _lambda_floor, _line_search
 
 from helpers import grid_max_brute
 
@@ -43,42 +45,58 @@ def linear_objective(n, coeffs=None):
 class TestSelectDirections:
     def test_zero_gradient_selects_nothing(self):
         cfg = SolverConfig(epsilon=0.1)
-        out = select_directions(np.zeros(4), np.eye(4), lam=1.0, cfg=cfg)
+        out = select_directions(np.zeros(4), lam=1.0, cfg=cfg)
         assert out.members.size == 0
 
     def test_all_qualify_at_matching_threshold(self):
         cfg = SolverConfig(epsilon=0.1, alpha=1.0, sigma=1.0)  # mu = 0.25
         lam = 1.0 / cfg.mu
-        out = select_directions(np.ones(5), np.eye(5), lam=lam, cfg=cfg)
+        out = select_directions(np.ones(5), lam=lam, cfg=cfg)
         assert np.array_equal(out.members, np.arange(5))
 
     def test_partial_selection(self):
         cfg = SolverConfig(epsilon=0.1)  # mu = 1
-        out = select_directions(np.array([1.0, 0.5]), np.eye(2), lam=1.0, cfg=cfg)
+        out = select_directions(np.array([1.0, 0.5]), lam=1.0, cfg=cfg)
         assert np.array_equal(out.members, np.array([0]))
 
     def test_counts_one_adaptive_round(self):
         cfg = SolverConfig()
         trace = SolverTrace()
         for k in range(3):
-            select_directions(np.ones(3), np.eye(3), lam=1.0, cfg=cfg, trace=trace)
+            select_directions(np.ones(3), lam=1.0, cfg=cfg, trace=trace)
             assert trace.adaptive_rounds == k + 1
 
     def test_candidate_filter(self):
         cfg = SolverConfig(epsilon=0.1)
         candidates = np.array([True, False, True])
-        out = select_directions(np.ones(3), np.eye(3), lam=1.0, cfg=cfg, candidates=candidates)
+        out = select_directions(np.ones(3), lam=1.0, cfg=cfg, candidates=candidates)
         assert np.array_equal(out.members, np.array([0, 2]))
 
 
+def step_size(obj, x, members, lam, cfg, polytope, trace=None):
+    """The step the deterministic sweep accepts for ``members`` at threshold ``lam``.
+
+    Evaluates ``x`` once, then runs the sweep's step search, whose cap is
+    the per-step cap at the members' fill clipped by the region's headroom.
+    """
+    x = np.asarray(x, dtype=float)
+    gain = _ExactGain(obj, cfg, SolverTrace() if trace is None else trace)
+    rate, fx = gain.test(x, gain.value(x), lam, 0.0)
+    members = np.asarray(members, dtype=int)
+    delta, _ = _line_search(gain.value, fx, x, members, rate, polytope, cfg, trace, gain.quadratic_mu)
+    return delta
+
+
 class TestChooseStepSize:
+    """The sweep's step-size choice: cap, region clipping, gain-test search."""
+
     def test_linear_returns_cap_exactly(self):
         obj = linear_objective(2)
         cfg = SolverConfig(epsilon=0.1)
         p = BoxPolytope(2, 1.0)
         x = np.full(2, 0.1)
         cap = 1.0 - 0.1  # the headroom term binds (1/(mu(1-eps)) is larger)
-        delta = choose_step_size(obj, x, [0, 1], lam=1.0, t=0.1, cfg=cfg, polytope=p)
+        delta = step_size(obj, x, [0, 1], lam=1.0, cfg=cfg, polytope=p)
         assert delta == cap
 
     def test_cap_arithmetic_near_the_end(self):
@@ -87,14 +105,14 @@ class TestChooseStepSize:
         cfg = SolverConfig(epsilon=0.1, eta=1.0)
         p = BoxPolytope(2, 1.0)
         x = np.full(2, 0.95)
-        delta = choose_step_size(obj, x, [0, 1], lam=0.5, t=0.95, cfg=cfg, polytope=p)
+        delta = step_size(obj, x, [0, 1], lam=0.5, cfg=cfg, polytope=p)
         assert delta == pytest.approx(0.05, abs=1e-12)
 
     def test_eta_cap_binds(self):
         obj = linear_objective(2)
         cfg = SolverConfig(epsilon=0.1, eta=1.0)  # 1/(n*eta) = 0.5
         p = BoxPolytope(2, 1.0)
-        delta = choose_step_size(obj, np.zeros(2), [0, 1], lam=0.5, t=0.0, cfg=cfg, polytope=p)
+        delta = step_size(obj, np.zeros(2), [0, 1], lam=0.5, cfg=cfg, polytope=p)
         assert delta == pytest.approx(0.5, abs=1e-12)
 
     def test_membership_clipping(self):
@@ -102,7 +120,7 @@ class TestChooseStepSize:
         cfg = SolverConfig(epsilon=0.1)
         p = CardinalityPolytope(2, 1)
         # moving both coordinates together hits sum(x) <= 1 at delta = 0.4
-        delta = choose_step_size(obj, np.full(2, 0.1), [0, 1], lam=0.5, t=0.1, cfg=cfg, polytope=p)
+        delta = step_size(obj, np.full(2, 0.1), [0, 1], lam=0.5, cfg=cfg, polytope=p)
         assert delta == pytest.approx(0.4, abs=2e-6)
 
     def test_concave_gain_bisects_to_the_boundary(self):
@@ -130,7 +148,7 @@ class TestChooseStepSize:
             lo, hi = (mid, hi) if residual(mid) > 0 else (lo, mid)
         boundary = 0.5 * (lo + hi)
 
-        delta = choose_step_size(obj, np.zeros(1), [0], lam=lam, t=0.0, cfg=cfg, polytope=p)
+        delta = step_size(obj, np.zeros(1), [0], lam=lam, cfg=cfg, polytope=p)
         assert cfg.delta_tol < delta < 1.0
         assert delta == pytest.approx(boundary, abs=4 * cfg.delta_tol)
         assert residual(delta / 2.0) > 0.0
@@ -141,13 +159,13 @@ class TestChooseStepSize:
         obj = linear_objective(2)
         cfg = SolverConfig(epsilon=0.1)
         p = BoxPolytope(2, 1.0)
-        delta = choose_step_size(obj, np.zeros(2), [0, 1], lam=1e9, t=0.0, cfg=cfg, polytope=p)
+        delta = step_size(obj, np.zeros(2), [0, 1], lam=1e9, cfg=cfg, polytope=p)
         assert delta == 0.0
 
     def test_empty_members(self):
         obj = linear_objective(2)
         cfg = SolverConfig()
-        assert choose_step_size(obj, np.zeros(2), [], lam=1.0, t=0.0, cfg=cfg) == 0.0
+        assert step_size(obj, np.zeros(2), [], lam=1.0, cfg=cfg, polytope=BoxPolytope(2, 1.0)) == 0.0
 
     def test_counts_probes_and_one_round(self):
         obj = linear_objective(2)
@@ -155,7 +173,7 @@ class TestChooseStepSize:
         p = BoxPolytope(2, 1.0)
         trace = SolverTrace()
         obj.reset_counters()
-        choose_step_size(obj, np.zeros(2), [0, 1], lam=0.5, t=0.0, cfg=cfg, polytope=p, trace=trace)
+        step_size(obj, np.zeros(2), [0, 1], lam=0.5, cfg=cfg, polytope=p, trace=trace)
         assert trace.adaptive_rounds == 1
         assert trace.value_queries == obj.value_calls
 
@@ -211,7 +229,7 @@ class TestParallelGreedy:
         sol = parallel_greedy(obj, p, SolverConfig(epsilon=0.1))
         assert sol.value >= (1.0 - 1.0 / math.e - 0.1) * 4.0
         assert sol.value >= 3.8  # every direction qualifies, so the box fills
-        assert membership(p, sol.x)
+        assert p.contains(sol.x)
 
     def test_coverage_cardinality_ratio(self):
         obj = make_coverage_instance(3, 4, density=0.5, seed=9)
@@ -239,7 +257,7 @@ class TestParallelGreedy:
         grid = grid_max_brute(
             lambda x: obj.value(x), lambda x: x[0] <= x[1] + 1e-9, 2, 10
         )
-        assert membership(p, sol.x)
+        assert p.contains(sol.x)
         assert sol.value >= (1.0 - 0.1) * (1.0 - 1.0 / math.e) * grid
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -247,7 +265,7 @@ class TestParallelGreedy:
         obj = make_coverage_instance(5, 7, density=0.4, seed=seed)
         p = CardinalityPolytope(5, 3)
         sol = parallel_greedy(obj, p, SolverConfig(epsilon=0.1))
-        assert membership(p, sol.x)
+        assert p.contains(sol.x)
         assert np.all(sol.x >= 0.0) and np.all(sol.x <= 1.0)
         fresh = obj.value(sol.x)
         assert abs(fresh - sol.value) <= 1e-9 * (1.0 + abs(fresh))
@@ -302,16 +320,6 @@ class TestParallelGreedy:
         with pytest.raises(RoundLimitError):
             parallel_greedy(obj, p, SolverConfig(epsilon=0.1, max_outer_rounds=2))
 
-    def test_empty_basis_error(self):
-        class NoBasis(BoxPolytope):
-            @property
-            def basis(self):
-                return np.zeros((0, self.dimension))
-
-        obj = linear_objective(2)
-        with pytest.raises(SolverError):
-            parallel_greedy(obj, NoBasis(2, 1.0), SolverConfig())
-
     def test_non_finite_gradient_error(self):
         obj = OssObjective(
             2, lambda x: float(x.sum()), lambda x: np.array([np.nan, 1.0])
@@ -323,6 +331,18 @@ class TestParallelGreedy:
         obj = linear_objective(3)
         with pytest.raises(SolverError):
             parallel_greedy(obj, BoxPolytope(2, 1.0), SolverConfig())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sweep_ends_when_the_budget_fills(self, seed):
+        # the step that fills the budget lands on it, so no coordinate can
+        # move afterwards and the sweep ends before the threshold floor
+        obj = random_semimetric_instance(64, seed=seed)
+        p = CardinalityPolytope(64, 8)
+        cfg = SolverConfig(alpha=0.05, sigma=1.0, epsilon=0.1)
+        sol = parallel_greedy(obj, p, cfg)
+        lower, upper = opt_bounds(obj, p)
+        assert abs(sol.x.sum() - p.budget) <= 1e-9
+        assert sol.lambda_final > _lambda_floor(cfg.mu, lower, upper, p)
 
     def test_flat_objective_returns_start(self):
         obj = CoverageMultilinearObjective([0.0, 0.0], [[0], [1]])
@@ -358,7 +378,7 @@ class TestSerialGreedy:
         sol = serial_greedy(obj, p, SolverConfig(epsilon=0.1))
         values = [snap.value for snap in sol.trace.history]
         assert all(y >= x - 1e-12 for x, y in zip(values, values[1:]))
-        assert membership(p, sol.x)
+        assert p.contains(sol.x)
 
     def test_counter_reconciliation(self):
         obj = make_coverage_instance(4, 5, density=0.5, seed=15)
@@ -400,7 +420,7 @@ class TestStochasticParallelGreedy:
         sol = stochastic_parallel_greedy(sobj, p, cfg)
         values = [snap.value for snap in sol.trace.history]
         assert all(y >= x - 1e-9 for x, y in zip(values, values[1:]))
-        assert membership(p, sol.x)
+        assert p.contains(sol.x)
         assert abs(obj.value(sol.x) - sol.value) <= 1e-9 * (1.0 + abs(sol.value))
 
     def test_counter_reconciliation(self):
