@@ -7,7 +7,9 @@ Two concrete families are shipped:
   matrix's semi-metric parameter.
 * ``CoverageMultilinearObjective`` -- the multilinear extension of a weighted
   coverage set function, evaluated in closed form; all mixed second partials
-  are nonpositive, so it is one-sided 0-smooth.
+  are nonpositive, so it is one-sided 0-smooth.  Its incidence is stored as
+  (element, coordinate) index pairs: value, gradient and Hessian form cost
+  O(nnz), ``value_many`` O(B * nnz), and coordinates at exactly 1 are exact.
 
 ``StochasticObjective`` wraps a deterministic oracle and serves noisy value
 and gradient samples for the stochastic solver.
@@ -25,6 +27,7 @@ import numpy as np
 from .core import SolverError, Vector, check_finite
 
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
+DRAW_BLOCK = 1 << 20  # uniform draws per block of rows in make_coverage_instance
 
 
 class _CallCounter:
@@ -170,6 +173,13 @@ class CoverageMultilinearObjective(OssObjective):
     expected covered weight when coordinate ``i`` is rounded to 1
     independently with probability ``x_i``.  Mixed second partials are
     nonpositive, so ``sigma_claimed`` is 0.
+
+    The incidence is held as (element, coordinate) index pairs sorted by
+    element, with repeated entries of a cover list counted once.  Value,
+    gradient and Hessian form cost O(nnz) and ``value_many`` O(B * nnz) for
+    ``nnz`` pairs and ``B`` rows; no m x n array is built.  Factors
+    ``1 - x_i`` that are exactly 0 are counted per element instead of
+    divided by, so coordinates at exactly 1 are handled exactly.
     """
 
     def __init__(self, weights, covers: Sequence[Sequence[int]], label: str = "coverage"):
@@ -182,15 +192,21 @@ class CoverageMultilinearObjective(OssObjective):
         if n < 1:
             raise ValueError("at least one coordinate is required")
         m = len(weights)
-        incidence = np.zeros((m, n), dtype=bool)
-        for i, elements in enumerate(covers):
-            for e in elements:
-                if not 0 <= int(e) < m:
-                    raise ValueError(f"coordinate {i} covers unknown element {e}")
-                incidence[int(e), i] = True
         self.weights = weights.copy()
-        self.covers = [tuple(sorted(int(e) for e in elements)) for elements in covers]
-        self.incidence = incidence
+        self.covers = [tuple(sorted(map(int, elements))) for elements in covers]
+        for i, cover in enumerate(self.covers):
+            if cover and not (0 <= cover[0] and cover[-1] < m):
+                raise ValueError(f"coordinate {i} covers unknown element {cover[0] if cover[0] < 0 else cover[-1]}")
+        # (element, coordinate) pairs sorted by element, each pair once
+        keys = np.array(sorted({e * n + i for i, cover in enumerate(self.covers) for e in cover}), dtype=np.intp)
+        rows, self._cols = np.divmod(keys, n)
+        first = np.empty(len(rows), dtype=bool)
+        first[:1] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        self._starts = np.flatnonzero(first)  # first pair of each covered element
+        covered = rows[self._starts]
+        self._segment = np.searchsorted(covered, rows)  # covered element of each pair
+        self._covered_weights = self.weights[covered]
         super().__init__(
             n,
             value_fn=self._value_impl,
@@ -200,55 +216,79 @@ class CoverageMultilinearObjective(OssObjective):
             label=label,
         )
 
-    def _survival(self, x) -> np.ndarray:
-        # probability each element stays uncovered
-        return np.prod(np.where(self.incidence, 1.0 - x, 1.0), axis=1)
+    def _factors(self, x):
+        """Each pair's factor ``1 - x_i`` with exact zeros replaced by 1, the
+        mask of those zeros, and per covered element the product of the
+        nonzero factors and the count of zero ones."""
+        factors = 1.0 - x[self._cols]
+        zero = factors == 0.0
+        factors[zero] = 1.0
+        product = np.multiply.reduceat(factors, self._starts)
+        zeros = np.bincount(self._segment[zero], minlength=len(self._starts))
+        return factors, zero, product, zeros
 
     def _value_impl(self, x) -> float:
-        return float(self.weights @ (1.0 - self._survival(x)))
+        # an exact zero factor zeroes its element's survival probability
+        survival = np.multiply.reduceat(1.0 - x[self._cols], self._starts)
+        return float(self._covered_weights @ (1.0 - survival))
 
     def _gradient_impl(self, x) -> np.ndarray:
-        base = np.where(self.incidence, 1.0 - x, 1.0)
-        grad = np.zeros(self.dimension)
-        for i in range(self.dimension):
-            rows = self.incidence[:, i]
-            if not rows.any():
-                continue
-            sub = base[rows].copy()
-            sub[:, i] = 1.0
-            grad[i] = float(self.weights[rows] @ np.prod(sub, axis=1))
-        return grad
+        # dF/dx_i sums w_e times the product of e's factors other than i's,
+        # which vanishes unless i holds every zero factor of e
+        factors, zero, product, zeros = self._factors(x)
+        zeros = zeros[self._segment]
+        live = (zeros == 0) | (zero & (zeros == 1))
+        scaled = (self._covered_weights * product)[self._segment]
+        return np.bincount(self._cols, np.where(live, scaled / factors, 0.0), minlength=self.dimension)
 
     def _quad_impl(self, x, u) -> float:
-        # diagonal Hessian entries vanish (the extension is multilinear)
-        base = np.where(self.incidence, 1.0 - x, 1.0)
-        total = 0.0
-        for i in range(self.dimension):
-            rows_i = self.incidence[:, i]
-            if not rows_i.any():
-                continue
-            for j in range(i + 1, self.dimension):
-                rows = rows_i & self.incidence[:, j]
-                if not rows.any():
-                    continue
-                sub = base[rows].copy()
-                sub[:, i] = 1.0
-                sub[:, j] = 1.0
-                total -= 2.0 * u[i] * u[j] * float(self.weights[rows] @ np.prod(sub, axis=1))
-        return total
+        # u'Hu = -sum_e w_e sum_{i != j} u_i u_j prod_{k != i, j} (1 - x_k):
+        # an ordered pair contributes only if it holds every zero factor of e
+        factors, zero, product, zeros = self._factors(x)
+        scaled_u = u[self._cols] / factors  # u_i / (1 - x_i), or u_i at a zero factor
+        r = np.where(zero, 0.0, scaled_u)
+        pair_sums = np.select(
+            [zeros == 0, zeros == 1, zeros == 2],
+            [
+                _ordered_pair_sums(r, self._starts, self._segment),
+                2.0 * np.add.reduceat(scaled_u - r, self._starts) * np.add.reduceat(r, self._starts),
+                2.0 * np.multiply.reduceat(np.where(zero, scaled_u, 1.0), self._starts),
+            ],
+            0.0,
+        )
+        return -float((self._covered_weights * product) @ pair_sums)
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
         self._value_calls.bump(len(X))
         out = np.empty(len(X))
-        chunk = max(1, 8_000_000 // (self.incidence.size or 1))
+        chunk = max(1, 8_000_000 // (len(self._cols) or 1))
         for start in range(0, len(X), chunk):
-            block = X[start : start + chunk]
-            survival = np.prod(
-                np.where(self.incidence[None, :, :], 1.0 - block[:, None, :], 1.0), axis=2
-            )
-            out[start : start + chunk] = (1.0 - survival) @ self.weights
+            factors = X[start : start + chunk, self._cols]
+            np.subtract(1.0, factors, out=factors)
+            survival = np.multiply.reduceat(factors, self._starts, axis=1)
+            out[start : start + chunk] = (1.0 - survival) @ self._covered_weights
         return out
+
+
+def _ordered_pair_sums(r, starts, segment) -> np.ndarray:
+    """``sum_{i != j} r_i r_j`` over each segment of ``r``.
+
+    Each entry is paired with the sum of the other entries of its segment.
+    For the entry of largest magnitude that sum is taken directly rather than
+    as the segment total minus the entry, which would cancel when one
+    ``r_i = u_i / (1 - x_i)`` dwarfs the rest (``x_i`` near 1).
+    """
+    total = np.add.reduceat(r, starts)
+    size = np.abs(r)
+    top = np.minimum.reduceat(
+        np.where(size == np.maximum.reduceat(size, starts)[segment], np.arange(len(r)), len(r)), starts
+    )
+    others = total[segment] - r
+    rest = r.copy()
+    rest[top] = 0.0
+    others[top] = np.add.reduceat(rest, starts)
+    return np.add.reduceat(r * others, starts)
 
 
 def make_semimetric_instance(points, b) -> QuadraticSemiMetricObjective:
@@ -278,7 +318,11 @@ def make_coverage_instance(
     seed: Optional[int] = None,
 ) -> CoverageMultilinearObjective:
     """Random coverage instance: each coordinate covers each element with
-    probability ``density``; elements left uncovered are resampled."""
+    probability ``density``; elements left uncovered are resampled.
+
+    The element-by-coordinate draw is made a block of rows at a time and only
+    the covered pairs are kept, so no m x n array is built; the random stream
+    is the one a single m x n draw would consume."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
     if not 0.0 < density <= 1.0:
@@ -287,13 +331,23 @@ def make_coverage_instance(
     if lo < 0.0 or hi < lo:
         raise ValueError(f"invalid weight range {weight_range}")
     rng = np.random.default_rng(seed)
-    incidence = rng.random((m, n)) < density
-    for e in range(m):
-        while not incidence[e].any():
-            incidence[e] = rng.random(n) < density
+    block_rows = max(1, DRAW_BLOCK // n)
+    covers = [[] for _ in range(n)]
+    uncovered = []
+    for start in range(0, m, block_rows):
+        hit = rng.random((min(block_rows, m - start), n)) < density
+        uncovered.extend((np.flatnonzero(~hit.any(axis=1)) + start).tolist())
+        rows, cols = np.divmod(np.flatnonzero(hit), n)
+        for e, i in zip((rows + start).tolist(), cols.tolist()):
+            covers[i].append(e)
+    for e in uncovered:
+        hit = rng.random(n) < density
+        while not hit.any():
+            hit = rng.random(n) < density
+        for i in np.flatnonzero(hit).tolist():
+            covers[i].append(e)
     weights = rng.uniform(lo, hi, size=m)
-    covers = [np.flatnonzero(incidence[:, i]).tolist() for i in range(n)]
-    return CoverageMultilinearObjective(weights, covers)
+    return CoverageMultilinearObjective(weights, covers)  # sorts each cover list
 
 
 def random_semimetric_instance(

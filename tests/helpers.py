@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's vectorized evaluation paths: grids are
 enumerated with itertools, expectations by exhaustive subset enumeration, and
-derivatives by finite differences, so they can certify the library against
-values computed another way.
+derivatives by finite differences or, for multilinear functions, by exact
+differences between opposite faces of the cube, so they can certify the
+library against values computed another way.
 """
 
 from __future__ import annotations
@@ -51,6 +52,25 @@ def coverage_expectation_brute(weights, covers, x):
                 covered.update(covers[i])
         total += prob * sum(weights[e] for e in covered)
     return total
+
+
+def multilinear_partial(value_fn, x, i):
+    """Exact dF/dx_i of a multilinear F: F(x | x_i = 1) - F(x | x_i = 0)."""
+    hi = np.array(x, dtype=float)
+    lo = hi.copy()
+    hi[i] = 1.0
+    lo[i] = 0.0
+    return value_fn(hi) - value_fn(lo)
+
+
+def multilinear_mixed_partial(value_fn, x, i, j):
+    """Exact d2F/dx_i dx_j (i != j) of a multilinear F:
+    F(1, 1) - F(1, 0) - F(0, 1) + F(0, 0) in coordinates (i, j)."""
+    hi = np.array(x, dtype=float)
+    lo = hi.copy()
+    hi[j] = 1.0
+    lo[j] = 0.0
+    return multilinear_partial(value_fn, hi, i) - multilinear_partial(value_fn, lo, i)
 
 
 def fd_gradient(value_fn, x, h=1e-6):

@@ -57,11 +57,12 @@ def coverage_lipschitz_bound(obj):
     """Valid gradient-Lipschitz constant: Frobenius norm of the entrywise
     Hessian bound (each mixed partial is at most the shared covered weight)."""
     n = obj.dimension
+    covers = [set(c) for c in obj.covers]
     bound = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                bound[i, j] = float(obj.weights[obj.incidence[:, i] & obj.incidence[:, j]].sum())
+                bound[i, j] = float(obj.weights[sorted(covers[i] & covers[j])].sum())
     return float(np.linalg.norm(bound))
 
 

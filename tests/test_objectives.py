@@ -1,8 +1,13 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ossmax.objectives
 from ossmax import (
     CoverageMultilinearObjective,
     OssObjective,
@@ -14,7 +19,13 @@ from ossmax import (
     verify_semimetric,
 )
 
-from helpers import coverage_expectation_brute, fd_gradient, fd_mixed_partial
+from helpers import (
+    coverage_expectation_brute,
+    fd_gradient,
+    fd_mixed_partial,
+    multilinear_mixed_partial,
+    multilinear_partial,
+)
 
 VALUE_TOL = 1e-9
 
@@ -95,7 +106,7 @@ class TestCoverageClosedForm:
     def test_every_element_covered(self):
         for seed in range(10):
             obj = make_coverage_instance(3, 8, density=0.15, seed=seed)
-            assert obj.incidence.any(axis=1).all()
+            assert set().union(*obj.covers) == set(range(8))
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
@@ -104,6 +115,112 @@ class TestCoverageClosedForm:
             make_coverage_instance(3, 3, density=0.0)
         with pytest.raises(ValueError):
             make_coverage_instance(3, 3, weight_range=(2.0, 1.0))
+
+
+# a coordinate at 0, at exactly 1, just below 1 (where 1 / (1 - x_i) is
+# large), or anywhere in between
+unit_coordinates = st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2.0**-30]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def coverage_cases(draw):
+    """Weights, cover lists (empty lists, repeated entries and uncovered
+    elements allowed) and a point where 0-3 coordinates covering one element
+    are set to exactly 1."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m))
+    covers = draw(st.lists(st.lists(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    x = np.array(draw(st.lists(unit_coordinates, min_size=n, max_size=n)))
+    element = draw(st.integers(0, m - 1))
+    holders = [i for i, cover in enumerate(covers) if element in cover]
+    ones = draw(st.integers(0, min(3, len(holders))))
+    x[draw(st.permutations(holders))[:ones]] = 1.0
+    return weights, covers, x
+
+
+class TestCoverageExact:
+    """Sparse coverage oracles against subset enumeration; F is multilinear,
+    so its derivatives are exact differences of F and must agree to rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=coverage_cases())
+    def test_value_and_gradient(self, case):
+        weights, covers, x = case
+        obj = CoverageMultilinearObjective(weights, covers)
+        brute = lambda z: coverage_expectation_brute(weights, covers, z)
+        scale = 1.0 + sum(weights)
+        assert obj.value(x) == pytest.approx(brute(x), rel=0.0, abs=1e-12 * scale)
+        exact = [multilinear_partial(brute, x, i) for i in range(len(x))]
+        assert obj.gradient(x) == pytest.approx(exact, rel=0.0, abs=1e-12 * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=coverage_cases(), data=st.data())
+    def test_hessian_form(self, case, data):
+        weights, covers, x = case
+        n = len(x)
+        u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        obj = CoverageMultilinearObjective(weights, covers)
+        brute = lambda z: coverage_expectation_brute(weights, covers, z)
+        exact = sum(
+            u[i] * u[j] * multilinear_mixed_partial(brute, x, i, j) for i in range(n) for j in range(n) if i != j
+        )
+        scale = (1.0 + sum(weights)) * (1.0 + np.abs(u).sum()) ** 2
+        assert obj.hessian_quadratic_form(x, u) == pytest.approx(exact, rel=0.0, abs=1e-12 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=coverage_cases(), data=st.data())
+    def test_value_many_matches_value(self, case, data):
+        weights, covers, x = case
+        n = len(x)
+        rows = data.draw(st.lists(st.lists(unit_coordinates, min_size=n, max_size=n), min_size=1, max_size=4))
+        X = np.array([x] + rows)
+        obj = CoverageMultilinearObjective(weights, covers)
+        expected = [obj.value(row) for row in X]
+        assert obj.value_many(X) == pytest.approx(expected, rel=0.0, abs=1e-12 * (1.0 + sum(weights)))
+
+
+# make_coverage_instance(5, 7, density=0.4, seed) as the m x n draw gave it;
+# seed 0 resamples one uncovered element, seed 7 two, seed 1 none
+PINNED_COVERAGE = {
+    0: (
+        [[1, 3, 4, 5], [0, 2, 4, 6], [0, 6], [0, 2, 3], [1]],
+        [1.071529830729761, 0.8218693910759421, 1.0943000301996968, 0.8379112255071333,
+         0.8916190005281612, 1.3902743520047922, 0.7271575935333797],
+    ),
+    1: (
+        [[], [3, 4, 6], [0, 2, 5], [3, 5], [0, 1, 2, 3]],
+        [1.4172977047909026, 0.5395928766642029, 1.0285892632600215, 0.9593358828854037,
+         0.5623495791498756, 1.141328169139375, 1.3526328384806567],
+    ),
+    7: (
+        [[2, 3, 4, 5], [1, 2, 3, 4, 6], [2, 3, 6], [0, 4, 6], [0, 3, 4]],
+        [1.2417709473618572, 0.5914956050630457, 1.0411438213764888, 1.00777223630035,
+         1.3713393766928808, 0.8612640590141576, 1.098184067207213],
+    ),
+}
+
+
+class TestCoverageGeneratorStream:
+    """The generator draws in row blocks but must keep the stream, and so
+    every seeded instance, of one m x n draw."""
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_COVERAGE))
+    @pytest.mark.parametrize("block", [ossmax.objectives.DRAW_BLOCK, 5, 12])
+    def test_pinned_instances(self, seed, block, monkeypatch):
+        # blocks of 5 and 12 draws hold one and two rows of 5
+        monkeypatch.setattr(ossmax.objectives, "DRAW_BLOCK", block)
+        obj = make_coverage_instance(5, 7, density=0.4, seed=seed)
+        covers, weights = PINNED_COVERAGE[seed]
+        assert [list(c) for c in obj.covers] == covers
+        assert obj.weights.tolist() == weights
+
+    def test_pinned_large_instance(self):
+        # four draw blocks, 223 elements resampled
+        obj = make_coverage_instance(1024, 4096, density=3 / 1024, seed=1835504127)
+        digest = hashlib.sha256(json.dumps([list(c) for c in obj.covers]).encode())
+        digest.update(obj.weights.astype("<f8").tobytes())
+        assert digest.hexdigest() == "723523a3c29aa74e6a7530fcfac0fe71357cddfc93f0b248fa60e70d72574512"
 
 
 @pytest.fixture(scope="module")
