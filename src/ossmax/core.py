@@ -126,11 +126,14 @@ class SolverTrace:
     """Run accounting.
 
     ``adaptive_rounds`` counts oracle phases with no internal sequential
-    dependency: one direction-selection scan, one step-size search (whose
-    probes are batchable), or one estimator refresh.  ``value_queries`` and
-    ``gradient_queries`` mirror the oracle's own invocation counters; for the
-    stochastic solver a value query is one empirical batch and a gradient
-    query is one sample.
+    dependency: one direction-selection scan (which skips the threshold
+    levels where nothing qualifies within its one round), one step-size
+    search (whose probes are batchable), or one estimator refresh.
+    ``outer_rounds`` counts the threshold levels the sweep visited, skipped
+    ones included, and ``inner_rounds`` the accepted steps.
+    ``value_queries`` and ``gradient_queries`` mirror the oracle's own
+    invocation counters; for the stochastic solver a value query is one
+    empirical batch and a gradient query is one sample.
     """
 
     outer_rounds: int = 0

@@ -28,6 +28,7 @@ from .core import SolverError, Vector, check_finite
 
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
 DRAW_BLOCK = 1 << 20  # uniform draws per block of rows in make_coverage_instance
+SYMMETRY_TILE = 128  # rows and columns per tile of the quadratic's symmetry check
 
 
 class _CallCounter:
@@ -128,6 +129,25 @@ class OssObjective:
         return np.array([float(self._value_fn(row)) for row in X])
 
 
+def _is_symmetric(M: np.ndarray) -> bool:
+    """``np.allclose(M, M.T)``, tested one pair of mirrored tiles at a time.
+
+    Tile ``(I, J)`` of ``M.T`` is tile ``(J, I)`` of ``M`` transposed, so each
+    pair above the diagonal is tested in both directions (``allclose`` is
+    not symmetric in its arguments), and a diagonal tile covers both
+    directions in one test; NaN fails as in ``np.allclose``.  Small tiles
+    keep the temporaries in cache.
+    """
+    n, tile = len(M), SYMMETRY_TILE
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            upper = M[i : i + tile, j : j + tile]
+            lower = M[j : j + tile, i : i + tile].T
+            if not np.allclose(upper, lower) or (j > i and not np.allclose(lower, upper)):
+                return False
+    return True
+
+
 class QuadraticSemiMetricObjective(OssObjective):
     """``F(x) = x'Mx/2 + b'x`` for a nonnegative symmetric matrix ``M``.
 
@@ -145,7 +165,7 @@ class QuadraticSemiMetricObjective(OssObjective):
         n = M.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b must have length {n}, got shape {b.shape}")
-        if not np.allclose(M, M.T):
+        if not _is_symmetric(M):
             raise ValueError("M must be symmetric")
         if np.any(M < 0.0) or np.any(b < 0.0):
             raise ValueError("M and b must be nonnegative")
@@ -291,12 +311,27 @@ def _ordered_pair_sums(r, starts, segment) -> np.ndarray:
     return np.add.reduceat(r * others, starts)
 
 
+def _distances(pts: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``pts``, one n x n difference
+    per point dimension at a time in one reused buffer, never an n x n x d
+    array; the buffer is freed on return, before the objective copies M."""
+    sq = np.zeros((len(pts), len(pts)))
+    d = np.empty_like(sq)
+    for k in range(pts.shape[1]):
+        np.subtract.outer(pts[:, k], pts[:, k], out=d)
+        sq += np.multiply(d, d, out=d)
+    return np.sqrt(sq, out=sq)
+
+
 def make_semimetric_instance(points, b) -> QuadraticSemiMetricObjective:
     """Quadratic objective from pairwise distances of ``points``.
 
     ``M[i, j]`` is the Euclidean distance between point ``i`` and point ``j``;
     the triangle inequality makes ``M`` a 1-semi-metric, so the returned
-    objective claims ``sigma = 1``.
+    objective claims ``sigma = 1``.  Squared differences are summed over the
+    point dimensions in order, which is ``np.linalg.norm``'s order for fewer
+    than eight dimensions, so ``M`` matches it bit for bit there (NumPy sums
+    eight or more terms pairwise, and entries may differ in the last bit).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -306,8 +341,7 @@ def make_semimetric_instance(points, b) -> QuadraticSemiMetricObjective:
     b = np.asarray(b, dtype=float)
     if b.shape != (pts.shape[0],):
         raise ValueError(f"b must have length {pts.shape[0]}, got shape {b.shape}")
-    M = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    return QuadraticSemiMetricObjective(M, b, sigma=1.0)
+    return QuadraticSemiMetricObjective(_distances(pts), b, sigma=1.0)
 
 
 def make_coverage_instance(

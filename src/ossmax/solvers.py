@@ -1,20 +1,23 @@
 """Threshold-greedy ascent solvers and the exhaustive grid oracle.
 
 Both parallel solvers run one threshold sweep down from an upper bound on
-the optimum.  At each level it selects every movable coordinate whose
-gradient entry clears the threshold, advances all selected coordinates
-together by the largest step that keeps a per-step gain test satisfied and
-stays inside the region, and decays the threshold when no coordinate
-qualifies or no admissible step remains.  The deterministic solver feeds the
-sweep exact gradients and values; the stochastic solver feeds it a
-momentum-averaged gradient estimate built from noisy samples, empirical
-values, and a gain test widened by a variance envelope.
+the optimum.  Each scan selects every movable coordinate whose gradient
+entry clears the threshold, decaying the threshold past the levels where
+none does, and the sweep advances all selected coordinates together by the
+largest step that keeps a per-step gain test satisfied and stays inside the
+region; it decays the threshold when no admissible step remains.  The
+deterministic solver feeds the sweep exact gradients and values; the
+stochastic solver feeds it a momentum-averaged gradient estimate built from
+noisy samples, empirical values, and a gain test widened by a variance
+envelope.
 
 Accounting: a value query is one objective evaluation (one empirical batch
 for the stochastic solver), a gradient query is one gradient evaluation (one
 sample for the stochastic solver), and an adaptive round is one batch of
-oracle work with no internal sequential dependency (a selection scan, a
-step-size search whose probes are batchable, or an estimator refresh).
+oracle work with no internal sequential dependency (a selection scan, empty
+levels skipped included, a step-size search whose probes are batchable, or
+an estimator refresh).  ``outer_rounds`` counts threshold levels, skipped
+ones included.
 """
 
 from __future__ import annotations
@@ -107,6 +110,11 @@ def kappa_envelope(
     return numerator / (t + 9.0) ** (2.0 / 3.0)
 
 
+def _cutoff(lam: float, cfg: SolverConfig) -> float:
+    """The selection cutoff ``(1-eps) * mu * lam``, less the value tolerance."""
+    return (1.0 - cfg.epsilon) * cfg.mu * lam - cfg.value_tol
+
+
 def select_directions(
     gradient,
     lam: float,
@@ -119,10 +127,11 @@ def select_directions(
     The comparisons form one batched scan with no cross-dependency, so a
     call counts exactly one adaptive round on the trace.  ``candidates``
     optionally restricts selection to coordinates that can still move.
+    The sweep skips the levels where nothing would clear the cutoff before
+    it calls this, within the same round (see :func:`_threshold_sweep`).
     """
     scores = np.asarray(gradient, dtype=float)
-    cutoff = (1.0 - cfg.epsilon) * cfg.mu * lam - cfg.value_tol
-    mask = scores >= cutoff
+    mask = scores >= _cutoff(lam, cfg)
     if candidates is not None:
         mask &= candidates
     if trace is not None:
@@ -333,15 +342,18 @@ def _threshold_sweep(
     selects every movable coordinate whose ``source`` direction clears the
     cutoff, moves the selected coordinates together by the largest step that
     passes ``gain``'s test, and selects again at the same level; it decays
-    the threshold by ``1 - eps`` when nothing is selected or no step remains.
-    It stops when no coordinate can move or the threshold falls below
-    ``exp(-mu)`` times the lower bound.  Raises RoundLimitError if the
-    outer loop exceeds its safety cap.
+    the threshold by ``1 - eps`` when no step remains.  A scan where nothing
+    would clear the cutoff first decays the threshold past those empty
+    levels, within its one adaptive round: no oracle is called and nothing
+    changes between them.  It stops when no coordinate can move or the
+    threshold falls below ``exp(-mu)`` times the lower bound.
+    ``outer_rounds`` counts the threshold levels visited, skipped ones
+    included; RoundLimitError is raised once it exceeds the safety cap.
 
     ``source`` is refreshed at the start point and after every accepted step,
     with the clock from before the step.  ``selection_log``, when given,
     collects ``(lam, direction, candidates, members)`` tuples for selection
-    replay.
+    replay, one per scan that selected something.
     """
     lower, upper = bounds
     lam = upper
@@ -350,9 +362,24 @@ def _threshold_sweep(
         # objective is flat at the top of the box; nothing to gain
         return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
 
+    def enter_level() -> None:
+        trace.outer_rounds += 1
+        if trace.outer_rounds > cfg.max_outer_rounds:
+            raise RoundLimitError(
+                f"outer threshold loop exceeded {cfg.max_outer_rounds} rounds"
+            )
+
     def scan(direction: Vector) -> np.ndarray:
+        nonlocal lam
+        # skip the levels where no movable entry clears the cutoff; if they
+        # run down to the floor, the scan comes up empty at the last level
+        # above it and the sweep ends
+        best = direction[movable].max()
+        while best < _cutoff(lam, cfg) and lam * (1.0 - cfg.epsilon) >= floor:
+            lam *= 1.0 - cfg.epsilon
+            enter_level()
         members = select_directions(direction, lam, cfg, trace=trace, candidates=movable).members
-        if selection_log is not None:
+        if selection_log is not None and members.size:
             selection_log.append((lam, direction.copy(), movable.copy(), members.copy()))
         return members
 
@@ -362,11 +389,7 @@ def _threshold_sweep(
     direction = source.direction(x)
 
     while lam >= floor and movable.any():
-        trace.outer_rounds += 1
-        if trace.outer_rounds > cfg.max_outer_rounds:
-            raise RoundLimitError(
-                f"outer threshold loop exceeded {cfg.max_outer_rounds} rounds"
-            )
+        enter_level()
         members = scan(direction)
         while members.size:
             rate, f_base = gain.test(x, fx, lam, t)

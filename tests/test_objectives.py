@@ -11,6 +11,7 @@ import ossmax.objectives
 from ossmax import (
     CoverageMultilinearObjective,
     OssObjective,
+    QuadraticSemiMetricObjective,
     StochasticObjective,
     make_coverage_instance,
     make_semimetric_instance,
@@ -59,6 +60,50 @@ class TestSemiMetricConstruction:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             make_semimetric_instance([[0.0], [1.0]], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_distances_match_linalg_norm_bit_for_bit(self, dim):
+        points = np.random.default_rng(dim).random((40, dim))
+        expected = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+        obj = make_semimetric_instance(points, np.ones(40))
+        assert np.array_equal(obj.M, expected)
+
+    def test_distances_in_eight_or_more_dimensions(self):
+        points = np.random.default_rng(8).random((40, 9))
+        expected = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+        obj = make_semimetric_instance(points, np.ones(40))
+        assert np.allclose(obj.M, expected, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_symmetry_check_is_allclose(self, data):
+        # sizes around one and two 128-wide tiles, so diagonal, off-diagonal
+        # and ragged tiles all get a nudged entry
+        n = data.draw(st.sampled_from([1, 2, 5, 127, 128, 129, 255, 300]))
+        base = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(0.0, 10.0, size=(n, n))
+        M = base + base.T
+        for _ in range(data.draw(st.integers(0, 2))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            # relative nudges on both sides of allclose's rtol = 1e-5, atol = 1e-8
+            rel = data.draw(st.sampled_from([0.0, 5e-6, 1e-5, 1.000001e-5, 2e-5, math.nan]))
+            M[i, j] = M[i, j] * (1.0 + rel) + data.draw(st.sampled_from([0.0, 1e-8, 2e-8]))
+        assert ossmax.objectives._is_symmetric(M) == np.allclose(M, M.T)
+
+    @pytest.mark.parametrize(
+        "row, col, entry",
+        [
+            (17, 290, math.nan),
+            (17, 290, 1.5),
+            # fails allclose against its mirror 1.0 only with 1.0 as the reference
+            (290, 17, 1.0 + 1e-5 + 1e-8 + 5e-11),
+        ],
+    )
+    def test_asymmetric_or_nan_entry_is_rejected(self, row, col, entry):
+        M = np.ones((300, 300))
+        M[row, col] = entry
+        assert not np.allclose(M, M.T)
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticSemiMetricObjective(M, np.ones(300))
 
     def test_gradient_and_quadratic_form_closed_forms(self):
         obj = make_semimetric_instance([0.0, 1.0, 3.0], [1.0, 2.0, 0.5])

@@ -1,7 +1,13 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ossmax.solvers
 
 from ossmax import (
     BoxPolytope,
@@ -350,6 +356,138 @@ class TestParallelGreedy:
         sol = parallel_greedy(obj, p, SolverConfig(epsilon=0.1))
         assert sol.value == 0.0
         assert np.allclose(sol.x, 0.05 * np.ones(2))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small coverage or quadratic instance on a box, cardinality or chain
+    region, with a solver: deterministic, or stochastic at theta = 0.25."""
+    n = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["box", "cardinality", "chain"]))
+    if kind == "box":
+        polytope = BoxPolytope(n, draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    elif kind == "cardinality":
+        polytope = CardinalityPolytope(n, draw(st.floats(0.1, float(n))))
+    else:
+        order = draw(st.permutations(range(n)))
+        polytope = MonotoneLinearPolytope(n, zip(order[:-1], order[1:]))
+    epsilon = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    if draw(st.booleans()):
+        obj = make_coverage_instance(n, n + 2, density=0.4, seed=seed)
+        cfg = SolverConfig(epsilon=epsilon)
+    else:
+        obj = random_semimetric_instance(n, seed=seed)
+        cfg = SolverConfig(epsilon=epsilon, sigma=1.0, alpha=draw(st.sampled_from([0.05, 0.5, 1.0])))
+    if draw(st.booleans()):
+        return obj, polytope, cfg, None
+    cfg = dataclasses.replace(cfg, noise_theta=0.25, spg_batch=4)
+    return obj, polytope, cfg, StochasticObjective(obj, 0.25, seed=seed)
+
+
+def traced_sweep(obj, polytope, cfg, sobj):
+    """Run the sweep with a selection log and a record of its step searches:
+    one (probed the objective, accepted a step) pair per search."""
+    log, searches = [], []
+    line_search = ossmax.solvers._line_search
+
+    def recorded(evaluate, *args, **kwargs):
+        probes = []
+
+        def counted(point):
+            probes.append(point)
+            return evaluate(point)
+
+        delta, f_step = line_search(counted, *args, **kwargs)
+        searches.append((bool(probes), delta > 0.0))
+        return delta, f_step
+
+    with mock.patch.object(ossmax.solvers, "_line_search", recorded):
+        if sobj is None:
+            sol = parallel_greedy(obj, polytope, cfg, selection_log=log)
+        else:
+            sol = stochastic_parallel_greedy(sobj, polytope, cfg, selection_log=log)
+    return sol, log, searches
+
+
+class TestSweepAccounting:
+    """What the sweep's counters and selection log mean, on random small runs."""
+
+    @staticmethod
+    def levels(sol, cfg):
+        """The threshold grid: the upper bound decayed by ``1 - eps`` per level."""
+        lams = [sol.trace.history[0].lam]
+        for _ in range(cfg.max_outer_rounds + 1):
+            lams.append(lams[-1] * (1.0 - cfg.epsilon))
+        return {lam: k for k, lam in enumerate(lams)}, lams
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweep_cases())
+    def test_each_scan_selects_at_the_first_level_that_qualifies(self, case):
+        obj, polytope, cfg, sobj = case
+        sol, log, _ = traced_sweep(obj, polytope, cfg, sobj)
+        index, lams = self.levels(sol, cfg)
+
+        def clears(direction, candidates, lam):
+            cutoff = (1.0 - cfg.epsilon) * cfg.mu * lam - cfg.value_tol
+            return bool(np.any(direction[candidates] >= cutoff))
+
+        previous = None
+        for lam, direction, candidates, members in log:
+            assert members.size
+            k = index[lam]
+            assert clears(direction, candidates, lam)
+            start = 0 if previous is None else index[previous[0]] + 1
+            assert not any(clears(direction, candidates, lams[j]) for j in range(start, k))
+            if previous is not None and k > index[previous[0]]:
+                # a scan only leaves a level that still qualifies when the
+                # step search there found no step, so nothing moved
+                stale = np.array_equal(direction, previous[1]) and np.array_equal(candidates, previous[2])
+                assert stale or not clears(direction, candidates, previous[0])
+            previous = (lam, direction, candidates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweep_cases())
+    def test_rounds_are_scans_searches_and_refreshes(self, case):
+        obj, polytope, cfg, sobj = case
+        sol, log, searches = traced_sweep(obj, polytope, cfg, sobj)
+        t = sol.trace
+        assert len(searches) == len(log)  # one step search per selection
+        refreshes = 0 if sobj is None else t.gradient_queries
+        # the sweep ends in an empty scan at the last level above the floor
+        # unless it never started (a flat bracket), no coordinate can move, or
+        # its last step search found no step
+        started = t.history[0].lam > cfg.value_tol
+        movable = polytope.movable(sol.x, cfg.delta_tol, cfg.value_tol).any()
+        ended_at_floor = started and movable and (not searches or searches[-1][1])
+        probed = sum(p for p, _ in searches)
+        assert t.adaptive_rounds == len(log) + probed + refreshes + ended_at_floor
+        assert t.inner_rounds == sum(accepted for _, accepted in searches)
+        if sobj is None and ended_at_floor:
+            lower, upper = opt_bounds(obj, polytope)
+            assert sol.lambda_final < _lambda_floor(cfg.mu, lower, upper, polytope)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweep_cases())
+    def test_outer_rounds_count_every_level_visited(self, case):
+        # skipped levels included: the final threshold is the level after the
+        # last one visited
+        obj, polytope, cfg, sobj = case
+        sol, _, _ = traced_sweep(obj, polytope, cfg, sobj)
+        index, _ = self.levels(sol, cfg)
+        assert sol.trace.outer_rounds == index[sol.lambda_final]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_cap_counts_skipped_levels(self, seed):
+        obj = make_coverage_instance(12, 16, density=0.3, seed=seed)
+        p = BoxPolytope(12, 1.0)
+        trace = parallel_greedy(obj, p, SolverConfig(epsilon=0.1)).trace
+        outer = trace.outer_rounds
+        assert outer > trace.adaptive_rounds  # levels were skipped
+        capped = parallel_greedy(obj, p, SolverConfig(epsilon=0.1, max_outer_rounds=outer))
+        assert capped.trace.outer_rounds == outer
+        with pytest.raises(RoundLimitError):
+            parallel_greedy(obj, p, SolverConfig(epsilon=0.1, max_outer_rounds=outer - 1))
 
 
 class TestSerialGreedy:
