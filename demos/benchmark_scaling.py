@@ -1,5 +1,5 @@
-"""Walkthrough: round and query growth across problem sizes, and the cost
-of one coverage oracle call at large n.
+"""Walkthrough: round and query growth across problem sizes, the cost of
+one coverage oracle call at large n, and the cost of the grid oracle.
 
 The adaptive-round count is bounded by O(log n / eps^2); on these coverage
 instances it stays nearly flat in the dimension.  Beside it stands the
@@ -9,6 +9,9 @@ This script measures medians over five seeds per point; the same sweep backs
 the acceptance tests' frozen budget constants.  It then times one value and
 one gradient of sparse coverage instances (m = 4n, density 3/n) up to
 n = 10^4, where a dense m x n incidence would hold 4 * 10^8 entries.
+Last, it runs the grid oracle on box, cardinality and chain regions of
+dimension 4 to 7 and counts the lattice points it holds, the candidates it
+tests for membership and the feasible points it evaluates.
 
 Run: python demos/benchmark_scaling.py
 """
@@ -18,7 +21,16 @@ import time
 
 import numpy as np
 
-from ossmax import BoxPolytope, SolverConfig, make_coverage_instance, parallel_greedy
+from ossmax import (
+    BoxPolytope,
+    CardinalityPolytope,
+    MonotoneLinearPolytope,
+    SolverConfig,
+    grid_maximum,
+    make_coverage_instance,
+    parallel_greedy,
+)
+from ossmax.solvers import GRID_POINT_BUDGET
 
 SEEDS = range(300, 305)
 
@@ -64,3 +76,48 @@ for n in (1024, 4096, 10_000):
 
 print()
 print("value and gradient cost O(nnz): a call stays in milliseconds at n = 10^4.")
+
+
+def grid_regions(n, rng):
+    yield "box", BoxPolytope(n, rng.uniform(0.3, 1.0, size=n))
+    yield "cardinality", CardinalityPolytope(n, n / 2)
+    order = rng.permutation(n)
+    yield "chain", MonotoneLinearPolytope(n, zip(order[:-1], order[1:]))
+
+
+def tested_rows(polytope):
+    """Tally the rows the region is asked to test for membership."""
+    rows = []
+    contains_many = polytope.contains_many
+
+    def counted(X, *args, **kwargs):
+        rows.append(len(X))
+        return contains_many(X, *args, **kwargs)
+
+    polytope.contains_many = counted
+    return rows
+
+
+print()
+print(f"{'n':>3} {'region':>12} {'res':>4} {'lattice':>9} {'candidates':>11} {'feasible':>9} {'ms':>8}")
+for n in (4, 5, 6, 7):
+    resolution = 10  # or the finest lattice below it that the point budget admits
+    while (resolution + 1) ** n > GRID_POINT_BUDGET:
+        resolution -= 1
+    objective = make_coverage_instance(n, 2 * n, density=0.4, seed=n)
+    for name, polytope in grid_regions(n, np.random.default_rng(n)):
+        rows = tested_rows(polytope)
+        objective.reset_counters()
+        start = time.perf_counter()
+        grid_maximum(objective, polytope, resolution)
+        elapsed = 1e3 * (time.perf_counter() - start)
+        print(
+            f"{n:>3} {name:>12} {resolution:>4} {(resolution + 1) ** n:>9} {sum(rows):>11} "
+            f"{objective.value_calls:>9} {elapsed:>8.1f}"
+        )
+
+print()
+print("The grid oracle tests only the lattice points that the region's pruning")
+print("rule keeps and evaluates only the feasible ones, so its cost follows the")
+print("feasible count: a chain costs milliseconds even at n = 7, while a half-full")
+print("cardinality budget still holds about half the lattice.")

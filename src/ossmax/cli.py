@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, SolverConfig, SolverError
+from .core import ConfigError, GridBudgetError, SolverConfig, SolverError
 from .instances import Instance, read_instance, write_instance
 from .objectives import (
     QuadraticSemiMetricObjective,
@@ -48,7 +48,6 @@ from .objectives import (
 )
 from .polytopes import BoxPolytope, CardinalityPolytope, MonotoneLinearPolytope, opt_bounds
 from .solvers import (
-    GRID_POINT_BUDGET,
     grid_maximum,
     parallel_greedy,
     serial_greedy,
@@ -186,12 +185,13 @@ def _grid_value(instance: Instance, resolution: Optional[int]) -> Optional[float
         resolution = 10
         if n > 8 or (resolution + 1) ** n > 1_000_000:
             return None
-    if n > 8 or (resolution + 1) ** n > GRID_POINT_BUDGET:
+    try:
+        return grid_maximum(instance.objective, instance.polytope, resolution)
+    except GridBudgetError as exc:
         raise _CliError(
             f"grid resolution {resolution} with dimension {n} exceeds the point budget",
             EXIT_VALIDATION,
-        )
-    return grid_maximum(instance.objective, instance.polytope, resolution)
+        ) from exc
 
 
 def _run_one(

@@ -29,6 +29,7 @@ from .core import SolverError, Vector, check_finite
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
 DRAW_BLOCK = 1 << 20  # uniform draws per block of rows in make_coverage_instance
 SYMMETRY_TILE = 128  # rows and columns per tile of the quadratic's symmetry check
+VALUE_MANY_CHUNK = 100_000  # factor entries gathered per batch of coverage value_many rows
 
 
 class _CallCounter:
@@ -279,10 +280,16 @@ class CoverageMultilinearObjective(OssObjective):
         return -float((self._covered_weights * product) @ pair_sums)
 
     def value_many(self, X):
+        """Batch evaluation; counts one invocation per row.
+
+        Rows are gathered in chunks of at most ``VALUE_MANY_CHUNK`` factor
+        entries (about 1 MB of temporaries; one row a chunk when a row
+        alone has more), which keeps them in cache.
+        """
         X = np.asarray(X, dtype=float)
         self._value_calls.bump(len(X))
         out = np.empty(len(X))
-        chunk = max(1, 8_000_000 // (len(self._cols) or 1))
+        chunk = max(1, VALUE_MANY_CHUNK // (len(self._cols) or 1))
         for start in range(0, len(X), chunk):
             factors = X[start : start + chunk, self._cols]
             np.subtract(1.0, factors, out=factors)

@@ -4,10 +4,12 @@ Every polytope here is implicitly intersected with the unit box.  The solvers
 move coordinates up, singly or in groups, and ask the region two closed-form
 questions: which coordinates can take a small step on their own
 (:meth:`Polytope.movable`) and how far a group can move together
-(:meth:`Polytope.headroom`).  Known gap: on a non-downward-closed region a
-coordinate tied with the coordinate that dominates it cannot move alone, so a
-tied chain whose dominating coordinate never clears the threshold stalls at
-the jump start.
+(:meth:`Polytope.headroom`).  The grid oracle asks a third: which lattice
+index prefixes no feasible point can complete
+(:meth:`Polytope._lattice_prefixes`).  Known gap: on a non-downward-closed
+region a coordinate tied with the coordinate that dominates it cannot move
+alone, so a tied chain whose dominating coordinate never clears the
+threshold stalls at the jump start.
 """
 
 from __future__ import annotations
@@ -73,6 +75,19 @@ class Polytope:
     def _coordinates_ok(self, x: np.ndarray, tol: float) -> np.ndarray:
         return (x >= -tol) & (x <= 1.0 + tol)
 
+    def _lattice_prefixes(self, idx: np.ndarray, levels: np.ndarray, tol: float) -> np.ndarray:
+        """Mask of the index prefixes that a feasible lattice point may still complete.
+
+        ``idx`` holds one prefix a row: lattice indices into ``levels`` for
+        coordinates ``0..k``, where ``k`` was just assigned and every shorter
+        prefix already passed.  ``levels`` is increasing, with gaps wider than
+        ``tol``.  The mask may keep infeasible prefixes (the grid oracle tests
+        every candidate with :meth:`contains_many`) but must keep each prefix
+        of a point that :meth:`contains_many` accepts.  The base region prunes
+        nothing.
+        """
+        return np.ones(len(idx), dtype=bool)
+
     def _satisfies(self, x: np.ndarray, tol: float) -> bool:
         return True
 
@@ -107,6 +122,10 @@ class BoxPolytope(Polytope):
     def headroom(self, x, members):
         return float(np.min(self.upper[members] - np.asarray(x, dtype=float)[members]))
 
+    def _lattice_prefixes(self, idx, levels, tol):
+        k = idx.shape[1] - 1
+        return (levels <= self.upper[k] + tol)[idx[:, k]]
+
     def describe(self):
         return {"kind": "box", "upper": self.upper.tolist()}
 
@@ -139,6 +158,15 @@ class CardinalityPolytope(Polytope):
     def headroom(self, x, members):
         fill = (self.budget - float(np.sum(x))) / len(members)
         return min(super().headroom(x, members), fill)
+
+    def _lattice_prefixes(self, idx, levels, tol):
+        # levels[i] is i / resolution to a few ulp, so a feasible point's index
+        # sum exceeds (budget + tol) * resolution by a relative 1e-15 at most
+        resolution = len(levels) - 1
+        total = idx[:, 0].astype(np.uint32)
+        for column in idx.T[1:]:
+            total += column
+        return total <= (self.budget + tol) * resolution * (1.0 + 1e-12)
 
     def describe(self):
         return {"kind": "cardinality", "budget": self.budget}
@@ -196,6 +224,15 @@ class MonotoneLinearPolytope(Polytope):
         if leaving.any():
             room = min(room, float(np.min(x[self._hi[leaving]] - x[self._lo[leaving]])))
         return room
+
+    def _lattice_prefixes(self, idx, levels, tol):
+        # levels more than tol apart: x_lo <= x_hi + tol holds iff idx_lo <= idx_hi
+        k = idx.shape[1] - 1
+        keep = np.ones(len(idx), dtype=bool)
+        for lo, hi in self.pairs:
+            if max(lo, hi) == k:
+                keep &= idx[:, lo] <= idx[:, hi]
+        return keep
 
     def describe(self):
         return {"kind": "monotone-linear", "pairs": [list(p) for p in self.pairs]}

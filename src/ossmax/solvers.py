@@ -39,7 +39,7 @@ from .core import (
     check_finite,
 )
 from .objectives import OssObjective, StochasticObjective
-from .polytopes import Polytope, opt_bounds
+from .polytopes import DEFAULT_MEMBERSHIP_TOL, Polytope, opt_bounds
 
 GRID_POINT_BUDGET = 10_000_000
 
@@ -524,10 +524,20 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
 def grid_maximum(obj: OssObjective, polytope: Polytope, resolution: int) -> float:
     """Exhaustive maximum of the objective over the feasible grid.
 
-    Enumerates the lattice with spacing ``1/resolution`` inside the unit box,
-    keeps the feasible points, and returns the best objective value.  The
-    value is a certified lower bound on the optimum; for smooth objectives
-    with bounded gradients the gap is at most ``n * max|grad| / resolution``.
+    Evaluates every feasible point of the lattice with spacing
+    ``1/resolution`` inside the unit box and returns the best objective
+    value.  The value is a certified lower bound on the optimum; for smooth
+    objectives with bounded gradients the gap is at most
+    ``n * max|grad| / resolution``.
+
+    The lattice is grown one coordinate at a time and the region drops the
+    index prefixes no feasible point can complete; the survivors, a superset
+    of the feasible points, are tested with ``polytope.contains_many`` and
+    only the feasible ones are evaluated, so the cost follows the candidate
+    count rather than ``(resolution + 1) ** n``.  The points evaluated are
+    those of full enumeration; the maximum can differ from it in the last
+    ulp or two, because a batched evaluation's rounding may depend on a
+    row's position in its batch.
 
     Raises GridBudgetError when the lattice would exceed the point budget
     or the dimension exceeds 8.
@@ -544,23 +554,39 @@ def grid_maximum(obj: OssObjective, polytope: Polytope, resolution: int) -> floa
     if total > GRID_POINT_BUDGET:
         raise GridBudgetError(f"grid of {total} points exceeds the budget of {GRID_POINT_BUDGET}")
 
-    axis = np.linspace(0.0, 1.0, per_axis)
-    if n == 1:
-        points = axis[:, None]
-        feasible = polytope.contains_many(points)
-        if not feasible.any():
-            raise SolverError("no feasible grid points")
-        return float(obj.value_many(points[feasible]).max())
-
-    tail = np.stack(np.meshgrid(*([axis] * (n - 1)), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    levels = np.linspace(0.0, 1.0, per_axis)
     best = -math.inf
-    block = np.empty((len(tail), n))
-    for head in axis:
-        block[:, 0] = head
-        block[:, 1:] = tail
-        feasible = polytope.contains_many(block)
+    for candidates in _lattice_candidates(polytope, levels):
+        points = levels[candidates]
+        feasible = polytope.contains_many(points)
         if feasible.any():
-            best = max(best, float(obj.value_many(block[feasible]).max()))
+            best = max(best, float(obj.value_many(points[feasible]).max()))
     if not math.isfinite(best):
         raise SolverError("no feasible grid points")
     return best
+
+
+def _lattice_candidates(polytope: Polytope, levels: np.ndarray):
+    """Blocks of lattice index rows that together hold every feasible point.
+
+    Rows come in lexicographic order; a block has at most
+    ``len(levels) ** (n - 1)`` rows (``len(levels)`` when ``n == 1``).
+    """
+    n, per_axis = polytope.dimension, len(levels)
+    digits = np.arange(per_axis, dtype=np.min_scalar_type(per_axis - 1))
+
+    def grow(prefixes):
+        k = prefixes.shape[1]
+        grown = np.empty((len(prefixes), per_axis, k + 1), dtype=digits.dtype)
+        grown[:, :, :k] = prefixes[:, None, :]
+        grown[:, :, k] = digits
+        grown = grown.reshape(-1, k + 1)
+        keep = polytope._lattice_prefixes(grown, levels, DEFAULT_MEMBERSHIP_TOL)
+        return grown if keep.all() else grown[keep]
+
+    prefixes = np.empty((1, 0), dtype=digits.dtype)
+    for _ in range(n - 1):
+        prefixes = grow(prefixes)
+    step = per_axis ** max(n - 2, 0)
+    for start in range(0, len(prefixes), step):
+        yield grow(prefixes[start : start + step])

@@ -101,6 +101,14 @@ class TestSolve:
         assert rows[0]["grid_opt"] == ""
         assert rows[0]["ratio"] == ""
 
+    def test_grid_over_the_point_budget_exits_one(self, tmp_path, linear_box_instance, capsys):
+        out = tmp_path / "runs.csv"
+        # 1001 ** 3 lattice points exceed the grid oracle's budget
+        code = run(["solve", str(linear_box_instance), "--grid-resolution", "1000", "--out", str(out)])
+        assert code == 1
+        assert "grid resolution 1000 with dimension 3 exceeds the point budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_echo_replays_to_same_value(self, tmp_path, linear_box_instance):
         out = tmp_path / "runs.csv"
         args = ["solve", str(linear_box_instance), "--solver", "spg", "--theta", "0.2",

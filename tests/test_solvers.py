@@ -16,6 +16,7 @@ from ossmax import (
     GridBudgetError,
     MonotoneLinearPolytope,
     OssObjective,
+    Polytope,
     RoundLimitError,
     SolverConfig,
     SolverError,
@@ -36,9 +37,9 @@ from ossmax import (
     update_gradient_estimate,
 )
 
-from ossmax.solvers import _ExactGain, _lambda_floor, _line_search
+from ossmax.solvers import _ExactGain, _lambda_floor, _lattice_candidates, _line_search
 
-from helpers import grid_max_brute
+from helpers import grid_max_brute, iter_grid
 
 
 def linear_objective(n, coeffs=None):
@@ -616,3 +617,99 @@ class TestGridMaximum:
         obj = linear_objective(8)
         with pytest.raises(GridBudgetError):
             grid_maximum(obj, BoxPolytope(8, 1.0), 10)
+
+
+class _HalfSpace(Polytope):
+    """``{x in [0,1]^n : a'x <= 1}``: a region without a lattice pruning rule."""
+
+    def __init__(self, a):
+        super().__init__(len(a))
+        self.a = np.asarray(a, dtype=float)
+
+    def _satisfies(self, x, tol):
+        return bool(x @ self.a <= 1.0 + tol)
+
+    def _satisfies_many(self, X, tol):
+        return X @ self.a <= 1.0 + tol
+
+
+# offsets of a bound from a lattice value, in lattice steps: on it, inside
+# and outside the membership tolerance, and a fraction of a step away
+_NEAR_LATTICE = [0.0, 1e-10, -1e-10, 1e-7, -1e-7, 0.37, -0.37]
+
+
+@st.composite
+def grid_cases(draw):
+    """(region, resolution): boxes and budgets on, just off and away from the
+    lattice, chains, 2-cycles, random DAGs and a bare Polytope subclass."""
+    kind = draw(st.sampled_from(["box", "cardinality", "chain", "cycle", "dag", "bare"]))
+    n = draw(st.integers(1 if kind in ("box", "cardinality", "bare") else 2, 4))
+    resolution = draw(st.integers(1, 6))
+
+    def near_lattice(top):
+        j = draw(st.integers(1, top))
+        offset = draw(st.sampled_from(_NEAR_LATTICE)) / resolution
+        return min(j / resolution + offset, top / resolution) if offset > 0 else j / resolution + offset
+
+    if kind == "box":
+        return BoxPolytope(n, [near_lattice(resolution) for _ in range(n)]), resolution
+    if kind == "cardinality":
+        budget = float(n) if draw(st.booleans()) else near_lattice(n * resolution)
+        return CardinalityPolytope(n, budget), resolution
+    if kind == "bare":
+        return _HalfSpace(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))), resolution
+    order = draw(st.permutations(range(n)))
+    if kind == "chain":
+        pairs = list(zip(order[:-1], order[1:]))
+    elif kind == "cycle":
+        pairs = [(order[0], order[1]), (order[1], order[0])]
+    else:
+        ranked = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+        pairs = draw(st.lists(st.sampled_from(ranked), min_size=1, max_size=len(ranked)))
+    return MonotoneLinearPolytope(n, pairs), resolution
+
+
+def _grid_objective(data, n):
+    seed = data.draw(st.integers(0, 2**16))
+    if n == 1 or data.draw(st.booleans()):  # the quadratic family needs n >= 2
+        return make_coverage_instance(n, n + 2, density=0.5, seed=seed)
+    return random_semimetric_instance(n, seed=seed)
+
+
+class TestGridExactness:
+    """The pruned lattice walk against plain enumeration of every lattice point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_plain_python_enumeration(self, data):
+        p, resolution = data.draw(grid_cases())
+        obj = _grid_objective(data, p.dimension)
+        slow = grid_max_brute(obj.value, p.contains, p.dimension, resolution)
+        assert math.isclose(grid_maximum(obj, p, resolution), slow, rel_tol=1e-12, abs_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_cases())
+    def test_candidates_hold_every_feasible_point(self, case):
+        # blocks within the row bound, holding every feasible point; the
+        # shipped regions' rules keep no infeasible one either
+        p, resolution = case
+        n, per_axis = p.dimension, resolution + 1
+        levels = np.linspace(0.0, 1.0, per_axis)
+        blocks = list(_lattice_candidates(p, levels))
+        assert all(len(b) <= per_axis ** max(n - 1, 1) for b in blocks)
+        candidates = {tuple(row) for b in blocks for row in b.tolist()}
+        lattice = np.array(np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")).reshape(n, -1).T
+        accepted = {tuple(row) for row in lattice[p.contains_many(levels[lattice])].tolist()}
+        assert accepted <= candidates
+        if not isinstance(p, _HalfSpace):
+            assert accepted == candidates
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_value_calls_count_the_feasible_points(self, data):
+        p, resolution = data.draw(grid_cases())
+        obj = _grid_objective(data, p.dimension)
+        feasible = sum(p.contains(x) for x in iter_grid(p.dimension, resolution))
+        obj.reset_counters()
+        grid_maximum(obj, p, resolution)
+        assert obj.value_calls == feasible
