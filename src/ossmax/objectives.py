@@ -29,7 +29,18 @@ from .core import SolverError, Vector, check_finite
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
 DRAW_BLOCK = 1 << 20  # uniform draws per block of rows in make_coverage_instance
 SYMMETRY_TILE = 128  # rows and columns per tile of the quadratic's symmetry check
-VALUE_MANY_CHUNK = 100_000  # factor entries gathered per batch of coverage value_many rows
+VALUE_MANY_CHUNK = 100_000  # entries of the temporaries per batch of value_many rows
+# The quadratic's product Mx runs over the rows of x's support when
+# SUPPORT_SHARE * |supp x| <= n and n >= SUPPORT_MIN_DIMENSION, in blocks of
+# at most PRODUCT_BLOCK matrix entries (512 KB).  Measured with one BLAS
+# thread on a 2-vCPU Xeon VM (2 MB L2): at |supp x| = n/4 the blocked support
+# product takes 0.64 / 0.55 / 0.30 / 0.47 of the dense product's time at
+# n = 512 / 1024 / 2048 / 4096.  At n <= 256, where M fits in L2, its fixed
+# cost eats the saving: 0.89x at one nonzero of n = 256, 1.05x at n/16, and
+# 1.9-3.6x at n <= 128.
+SUPPORT_SHARE = 4
+SUPPORT_MIN_DIMENSION = 512
+PRODUCT_BLOCK = 1 << 16
 
 
 class _CallCounter:
@@ -133,17 +144,20 @@ class OssObjective:
 def _is_symmetric(M: np.ndarray) -> bool:
     """``np.allclose(M, M.T)``, tested one pair of mirrored tiles at a time.
 
-    Tile ``(I, J)`` of ``M.T`` is tile ``(J, I)`` of ``M`` transposed, so each
-    pair above the diagonal is tested in both directions (``allclose`` is
-    not symmetric in its arguments), and a diagonal tile covers both
-    directions in one test; NaN fails as in ``np.allclose``.  Small tiles
-    keep the temporaries in cache.
+    Tile ``(I, J)`` of ``M.T`` is tile ``(J, I)`` of ``M`` transposed.  A pair
+    that is exactly equal passes at once; otherwise it is tested with
+    ``allclose`` in both directions (``allclose`` is not symmetric in its
+    arguments), and a diagonal tile covers both directions in one test.  NaN
+    is never equal, so it reaches ``allclose`` and fails as in
+    ``np.allclose``.  Small tiles keep the temporaries in cache.
     """
     n, tile = len(M), SYMMETRY_TILE
     for i in range(0, n, tile):
         for j in range(i, n, tile):
             upper = M[i : i + tile, j : j + tile]
             lower = M[j : j + tile, i : i + tile].T
+            if np.array_equal(upper, lower):
+                continue
             if not np.allclose(upper, lower) or (j > i and not np.allclose(lower, upper)):
                 return False
     return True
@@ -156,6 +170,15 @@ class QuadraticSemiMetricObjective(OssObjective):
     exactly.  With ``M`` a sigma-semi-metric (``M[i,j] <= sigma * (M[i,k] +
     M[k,j])`` for distinct triples) the objective is one-sided sigma-smooth;
     pairwise distances of points in a metric space give ``sigma = 1``.
+
+    Value and gradient share one product ``Mx``.  On a point with few
+    nonzeros it sums the support's rows of ``M`` (``M`` is symmetric), so a
+    query costs O(n * |supp x|) instead of O(n^2); see ``SUPPORT_SHARE``.
+    The product of the last point is kept, keyed by a copy of the point, so
+    a gradient at the point whose value was just taken (or the reverse)
+    costs O(n).  Either call still counts as one query, and
+    ``reset_counters`` drops the kept product.  The key is the point alone,
+    so ``M`` is read as fixed once the objective is built.
     """
 
     def __init__(self, M, b, sigma: float = 1.0, label: str = "quadratic-semimetric"):
@@ -172,19 +195,65 @@ class QuadraticSemiMetricObjective(OssObjective):
             raise ValueError("M and b must be nonnegative")
         self.M = M.copy()
         self.b = b.copy()
+        # (bytes of the last point, its product), replaced whole so that a
+        # reader never pairs one point with another point's product
+        self._memo = (None, None)
         super().__init__(
             n,
-            value_fn=lambda x: 0.5 * float(x @ self.M @ x) + float(self.b @ x),
-            gradient_fn=lambda x: self.M @ x + self.b,
+            value_fn=self._value_impl,
+            gradient_fn=self._gradient_impl,
             hessian_quadratic_fn=lambda x, u: float(u @ self.M @ u),
             sigma_claimed=sigma,
             label=label,
         )
 
+    def reset_counters(self) -> None:
+        """Zero the counters and drop the kept product, so that the queries
+        counted from here are computed as on a fresh objective."""
+        super().reset_counters()
+        self._memo = (None, None)
+
+    def _product(self, x) -> np.ndarray:
+        """``Mx``, over the rows of ``x``'s support when that is cheaper."""
+        key = x.tobytes()
+        memo = self._memo
+        if memo[0] == key:
+            return memo[1]
+        n = self.dimension
+        if n >= SUPPORT_MIN_DIMENSION and SUPPORT_SHARE * np.count_nonzero(x) <= n:
+            support = np.flatnonzero(x)
+            product = np.zeros(n)
+            rows = max(1, PRODUCT_BLOCK // n)
+            for start in range(0, len(support), rows):
+                block = support[start : start + rows]
+                product += x[block] @ self.M[block]
+        else:
+            product = self.M @ x
+        self._memo = (key, product)
+        return product
+
+    def _value_impl(self, x) -> float:
+        return 0.5 * float(x @ self._product(x)) + float(self.b @ x)
+
+    def _gradient_impl(self, x) -> np.ndarray:
+        return self._product(x) + self.b
+
     def value_many(self, X):
+        """Batch evaluation; counts one invocation per row.
+
+        Rows go in chunks of at most ``VALUE_MANY_CHUNK`` entries of
+        ``X @ M``, which keeps the temporaries in cache.
+        """
         X = np.asarray(X, dtype=float)
         self._value_calls.bump(len(X))
-        return 0.5 * np.einsum("ij,jk,ik->i", X, self.M, X) + X @ self.b
+        out = np.empty(len(X))
+        chunk = max(1, VALUE_MANY_CHUNK // self.dimension)
+        for start in range(0, len(X), chunk):
+            rows = X[start : start + chunk]
+            quad = rows @ self.M
+            quad *= rows
+            out[start : start + chunk] = 0.5 * quad.sum(axis=1) + rows @ self.b
+        return out
 
 
 class CoverageMultilinearObjective(OssObjective):

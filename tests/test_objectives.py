@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ossmax import (
     CoverageMultilinearObjective,
     OssObjective,
     QuadraticSemiMetricObjective,
+    SolverError,
     StochasticObjective,
     make_coverage_instance,
     make_semimetric_instance,
@@ -113,6 +116,140 @@ class TestSemiMetricConstruction:
             u = rng.uniform(size=3)
             assert np.allclose(obj.gradient(x), obj.M @ x + obj.b)
             assert obj.hessian_quadratic_form(x, u) == pytest.approx(u @ obj.M @ u)
+
+
+def _quadratic(n, rng):
+    A = rng.random((n, n))
+    return QuadraticSemiMetricObjective(A + A.T, rng.uniform(0.01, 1.0, size=n))
+
+
+def _sparse_point(n, size, rng):
+    x = np.zeros(n)
+    x[rng.choice(n, size, replace=False)] = rng.uniform(0.01, 1.0, size)
+    return x
+
+
+class TestQuadraticProduct:
+    """Value and gradient share one product ``Mx``: over the support's rows
+    on sparse points, dense otherwise, and kept for the last point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dense_forms_on_both_sides_of_the_crossover(self, data):
+        n = data.draw(st.one_of(st.sampled_from([1, 2, 4, 9]), st.integers(1, 40)))
+        crossover = n // ossmax.objectives.SUPPORT_SHARE  # largest support summed by rows
+        size = data.draw(st.sampled_from([0, crossover - 1, crossover, crossover + 1, n]).filter(lambda k: 0 <= k <= n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        obj = _quadratic(n, rng)
+        x = _sparse_point(n, size, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            # the crossover at every dimension, in blocks of one, two or all rows
+            mp.setattr(ossmax.objectives, "SUPPORT_MIN_DIMENSION", 1)
+            rows = data.draw(st.sampled_from([1, 2, None]))
+            if rows is not None:
+                mp.setattr(ossmax.objectives, "PRODUCT_BLOCK", rows * n)
+            if data.draw(st.booleans()):
+                value, gradient = obj.value(x), obj.gradient(x)
+            else:
+                gradient, value = obj.gradient(x), obj.value(x)
+        assert value == pytest.approx(0.5 * x @ obj.M @ x + obj.b @ x, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(gradient, obj.M @ x + obj.b, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "below, extra, by_rows",
+        [(0, 0, True), (0, 1, False), (1, 0, False)],
+        ids=["crossover", "past-crossover", "small-dimension"],
+    )
+    def test_support_product_reads_only_the_support_rows(self, below, extra, by_rows):
+        n = ossmax.objectives.SUPPORT_MIN_DIMENSION - below
+        rng = np.random.default_rng(n + extra)
+        obj = _quadratic(n, rng)
+        x = _sparse_point(n, n // ossmax.objectives.SUPPORT_SHARE + extra, rng)
+        value, gradient = 0.5 * x @ obj.M @ x + obj.b @ x, obj.M @ x + obj.b
+        off = np.flatnonzero(x == 0.0)
+        obj.M[np.ix_(off, off)] = np.nan  # entries that no support row holds
+        if by_rows:
+            assert obj.value(x) == pytest.approx(value, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(obj.gradient(x), gradient, rtol=1e-12, atol=0.0)
+        else:
+            with pytest.raises(SolverError):
+                obj.value(x)
+
+    @pytest.mark.parametrize("n", [6, ossmax.objectives.SUPPORT_MIN_DIMENSION])
+    def test_kept_product_serves_only_its_own_point(self, n):
+        rng = np.random.default_rng(n)
+        obj = _quadratic(n, rng)
+
+        def fresh():
+            return QuadraticSemiMetricObjective(obj.M, obj.b)
+
+        x, y = _sparse_point(n, max(1, n // 8), rng), rng.uniform(size=n)
+        # value then gradient at one point
+        assert obj.value(x) == fresh().value(x)
+        assert np.array_equal(obj.gradient(x), fresh().gradient(x))
+        # two points alternating
+        for p in (y, x, y, x):
+            assert np.array_equal(obj.gradient(p), fresh().gradient(p))
+            assert obj.value(p) == fresh().value(p)
+        # the caller changes its array in place after a call
+        z = x.copy()
+        obj.value(z)
+        z[np.flatnonzero(z == 0.0)[0]] = 0.5
+        assert np.array_equal(obj.gradient(z), fresh().gradient(z))
+        z *= 0.5
+        assert obj.value(z) == fresh().value(z)
+
+    def test_reset_counters_drops_the_kept_product(self):
+        obj = _quadratic(5, np.random.default_rng(4))
+        x = np.full(5, 0.5)
+        value = obj.value(x)
+        obj.M[:] = np.nan  # from here a computed product is non-finite
+        assert obj.value(x) == value
+        obj.reset_counters()
+        with pytest.raises(SolverError):
+            obj.gradient(x)
+
+    @pytest.mark.parametrize("chunk", [1, 13, 50, ossmax.objectives.VALUE_MANY_CHUNK])
+    def test_value_many_in_chunks_matches_value(self, chunk, monkeypatch):
+        # one, two, eight (ragged) or all 50 rows a chunk
+        monkeypatch.setattr(ossmax.objectives, "VALUE_MANY_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        obj = _quadratic(6, rng)
+        X = rng.uniform(size=(50, 6))
+        np.testing.assert_allclose(obj.value_many(X), [obj.value(x) for x in X], rtol=1e-12, atol=0.0)
+
+    def test_threads_sharing_one_objective_get_their_own_products(self):
+        # spawned stochastic streams share their ground truth; a reader must
+        # never pair its point with the product another thread just stored
+        # sparse points, so that the support product's calls and loop give
+        # the interpreter places to switch threads while a product is built
+        n = ossmax.objectives.SUPPORT_MIN_DIMENSION
+        rng = np.random.default_rng(5)
+        obj = _quadratic(n, rng)
+        points = [_sparse_point(n, n // 8, rng) for _ in range(4)]
+        fresh = QuadraticSemiMetricObjective(obj.M, obj.b)
+        expected = [(fresh.value(p), fresh.gradient(p)) for p in points]
+        mismatches = []
+
+        def worker(k):
+            for _ in range(500):
+                v, g = obj.value(points[k]), obj.gradient(points[k])
+                if v != expected[k][0] or not np.array_equal(g, expected[k][1]):
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert obj.value_calls == obj.gradient_calls == 4 * 500
 
 
 class TestCoverageClosedForm:
@@ -309,17 +446,19 @@ class TestSharedInvariants:
                 assert np.allclose(g, g_fd, atol=1e-4, rtol=1e-4)
 
     def test_counters_tally_calls(self):
-        obj = make_coverage_instance(3, 4, seed=2)
-        obj.reset_counters()
-        x = np.full(3, 0.5)
-        for _ in range(5):
-            obj.value(x)
-        for _ in range(3):
-            obj.gradient(x)
-        assert obj.value_calls == 5
-        assert obj.gradient_calls == 3
-        obj.value_many(np.tile(x, (7, 1)))
-        assert obj.value_calls == 12
+        # the quadratic serves repeats at one point from its kept product;
+        # each still counts as one query
+        for obj in (make_coverage_instance(3, 4, seed=2), make_semimetric_instance([0.0, 1.0, 3.0], [1.0, 1.0, 1.0])):
+            obj.reset_counters()
+            x = np.full(3, 0.5)
+            for _ in range(5):
+                obj.value(x)
+            for _ in range(3):
+                obj.gradient(x)
+            assert obj.value_calls == 5
+            assert obj.gradient_calls == 3
+            obj.value_many(np.tile(x, (7, 1)))
+            assert obj.value_calls == 12
 
     def test_value_many_matches_value(self, shipped_objectives):
         rng = np.random.default_rng(34)
