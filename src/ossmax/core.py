@@ -160,6 +160,6 @@ class Solution:
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """Raise SolverError if ``arr`` contains NaN or infinities."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SolverError(f"{what} returned non-finite values")
     return arr
