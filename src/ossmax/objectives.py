@@ -28,22 +28,21 @@ from .core import SolverError, Vector, check_finite
 
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
 DRAW_BLOCK = 1 << 20  # uniform draws per block of rows in make_coverage_instance
-DISTANCE_BLOCK = 1 << 16  # entries per block of rows in the quadratic's distance build
 SYMMETRY_TILE = 128  # rows and columns per tile of the quadratic's symmetry check
 VALUE_MANY_CHUNK = 100_000  # entries of the temporaries per batch of value_many rows
-# The quadratic's product Mx starts from whichever of the points 0 and 1
-# differs from x in fewer coordinates, D, and adds the rows of M in D: the
-# support of x from 0, the coordinates below 1 from 1, where the product is
-# M's row sums (taken at construction and, like M, read as fixed after it).
-# It does so when SUPPORT_SHARE * |D| <= n and n >= SUPPORT_MIN_DIMENSION, in
-# blocks of at most PRODUCT_BLOCK matrix entries (512 KB), so below that
-# crossover a product costs O(n * min(|supp x|, |{i : x_i != 1}|)); past it
-# the product is the dense M @ x, O(n^2).  Measured with one BLAS thread on a
-# 2-vCPU Xeon VM (2 MB L2): at |D| = n/4 the blocked row sum takes
-# 0.64 / 0.55 / 0.30 / 0.47 of the dense product's time at
-# n = 512 / 1024 / 2048 / 4096.  At n <= 256, where M fits in L2, its fixed
-# cost eats the saving: 0.89x at one nonzero of n = 256, 1.05x at n/16, and
-# 1.9-3.6x at n <= 128.
+# The quadratic's product Mx runs over the rows of x's support when
+# SUPPORT_SHARE * |supp x| <= n and n >= SUPPORT_MIN_DIMENSION, in blocks of
+# at most PRODUCT_BLOCK matrix entries (512 KB), so below that crossover a
+# product costs O(n * |supp x|); past it the product is the dense M @ x,
+# O(n^2), except at the all-ones point, whose product is M's row sums (taken
+# at construction and, like M, read as fixed after it), O(n).  Measured with
+# one BLAS thread on a 2-vCPU Xeon VM (2 MB L2): at |supp x| = n/4 the
+# blocked support product takes 0.64 / 0.55 / 0.30 / 0.47 of the dense
+# product's time at n = 512 / 1024 / 2048 / 4096.  At n <= 256, where M fits
+# in L2, its fixed cost eats the saving: 0.89x at one nonzero of n = 256,
+# 1.05x at n/16, and 1.9-3.6x at n <= 128.  The distance build that makes M
+# takes its rows in blocks of PRODUCT_BLOCK entries too (2^15-2^16 were the
+# fastest of 2^12...2^18 at n = 512 / 2048 / 4096).
 SUPPORT_SHARE = 4
 SUPPORT_MIN_DIMENSION = 512
 PRODUCT_BLOCK = 1 << 16
@@ -177,17 +176,18 @@ class QuadraticSemiMetricObjective(OssObjective):
     M[k,j])`` for distinct triples) the objective is one-sided sigma-smooth;
     pairwise distances of points in a metric space give ``sigma = 1``.
 
-    Value and gradient share one product ``Mx``.  Two products are known
-    without a query: ``M @ 0 = 0`` and ``M @ 1``, the row sums, taken once at
-    construction.  The product starts from whichever of 0 and 1 differs from
-    ``x`` in fewer coordinates and adds the rows of ``M`` (``M`` is
-    symmetric) at those coordinates, so below the crossover a query costs
-    O(n * min(|supp x|, |{i : x_i != 1}|)) instead of O(n^2); see
-    ``SUPPORT_SHARE``.  The product of the last point is kept, keyed by a
-    copy of the point, so a gradient at the point whose value was just taken
-    (or the reverse) costs O(n).  Either call still counts as one query, and
-    ``reset_counters`` drops the kept product.  The key is the point alone,
-    so ``M`` and its row sums are read as fixed once the objective is built.
+    Value and gradient share one product ``Mx``.  On a point with few
+    nonzeros it sums the support's rows of ``M`` (``M`` is symmetric), so a
+    query costs O(n * |supp x|) instead of O(n^2); see ``SUPPORT_SHARE``.
+    The all-ones point, which ``opt_bounds`` values on every solve, reads
+    ``M``'s row sums, taken once at construction, and costs O(n).  No other
+    point starts from the row sums: subtracting rows from them cancels when
+    a few rows hold most of a column's mass.  The product of the last point
+    is kept, keyed by a copy of the point, so a gradient at the point whose
+    value was just taken (or the reverse) costs O(n).  Either call still
+    counts as one query, and ``reset_counters`` drops the kept product.  The
+    key is the point alone, so ``M`` and its row sums are read as fixed once
+    the objective is built.
     """
 
     def __init__(self, M, b, sigma: float = 1.0, label: str = "quadratic-semimetric"):
@@ -224,24 +224,22 @@ class QuadraticSemiMetricObjective(OssObjective):
         self._memo = (None, None)
 
     def _product(self, x) -> np.ndarray:
-        """``Mx``, from the nearer of the points 0 and 1 when that is cheaper."""
+        """``Mx``, over the rows of ``x``'s support when that is cheaper."""
         key = x.tobytes()
         memo = self._memo
         if memo[0] == key:
             return memo[1]
         n = self.dimension
-        product = None
-        if n >= SUPPORT_MIN_DIMENSION:
-            from_one = np.count_nonzero(x != 1.0) < np.count_nonzero(x)
-            delta = x - 1.0 if from_one else x
-            rows = np.flatnonzero(delta)
-            if SUPPORT_SHARE * len(rows) <= n:
-                product = self._row_sums.copy() if from_one else np.zeros(n)
-                step = max(1, PRODUCT_BLOCK // n)
-                for start in range(0, len(rows), step):
-                    block = rows[start : start + step]
-                    product += delta[block] @ self.M[block]
-        if product is None:
+        if n >= SUPPORT_MIN_DIMENSION and SUPPORT_SHARE * np.count_nonzero(x) <= n:
+            support = np.flatnonzero(x)
+            product = np.zeros(n)
+            rows = max(1, PRODUCT_BLOCK // n)
+            for start in range(0, len(support), rows):
+                block = support[start : start + rows]
+                product += x[block] @ self.M[block]
+        elif n >= SUPPORT_MIN_DIMENSION and (x == 1.0).all():
+            product = self._row_sums.copy()
+        else:
             product = self.M @ x
         self._memo = (key, product)
         return product
@@ -403,12 +401,12 @@ def _ordered_pair_sums(r, starts, segment) -> np.ndarray:
 
 def _distances(pts: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``pts``, a block of about
-    ``DISTANCE_BLOCK`` entries of rows at a time.  Each block sums its squared
+    ``PRODUCT_BLOCK`` entries of rows at a time.  Each block sums its squared
     differences over the point dimensions in order, in one reused buffer, so
     no temporary as large as the n x n result is made."""
     n = len(pts)
     out = np.zeros((n, n))
-    rows = max(1, DISTANCE_BLOCK // n)
+    rows = max(1, PRODUCT_BLOCK // n)
     buffer = np.empty((rows, n))
     for start in range(0, n, rows):
         sq = out[start : start + rows]

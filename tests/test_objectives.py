@@ -131,35 +131,19 @@ def _sparse_point(n, size, rng):
     return x
 
 
-def _cosparse_point(n, size, rng):
-    """``size`` coordinates below 1, about half of them at 0; the rest are 1."""
-    x = np.ones(n)
-    x[rng.choice(n, size, replace=False)] = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.01, 0.99, size))
-    return x
-
-
-# the crossover of the product by rows, one coordinate past it, and one
-# dimension below the smallest dimension it serves
-_CROSSOVER_SIDES = pytest.mark.parametrize(
-    "below, extra, by_rows",
-    [(0, 0, True), (0, 1, False), (1, 0, False)],
-    ids=["crossover", "past-crossover", "small-dimension"],
-)
-
-
 class TestQuadraticProduct:
     """Value and gradient share one product ``Mx``: over the support's rows
-    on sparse points, from the row sums over the rows below 1 on co-sparse
-    points, dense otherwise, and kept for the last point."""
+    on sparse points, dense otherwise, and kept for the last point."""
 
-    @staticmethod
-    def _check_crossover(data, point):
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dense_forms_on_both_sides_of_the_crossover(self, data):
         n = data.draw(st.one_of(st.sampled_from([1, 2, 4, 9]), st.integers(1, 40)))
-        crossover = n // ossmax.objectives.SUPPORT_SHARE  # most rows a product sums
+        crossover = n // ossmax.objectives.SUPPORT_SHARE  # largest support summed by rows
         size = data.draw(st.sampled_from([0, crossover - 1, crossover, crossover + 1, n]).filter(lambda k: 0 <= k <= n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         obj = _quadratic(n, rng)
-        x = point(n, size, rng)
+        x = _sparse_point(n, size, rng)
         with pytest.MonkeyPatch.context() as mp:
             # the crossover at every dimension, in blocks of one, two or all rows
             mp.setattr(ossmax.objectives, "SUPPORT_MIN_DIMENSION", 1)
@@ -173,40 +157,25 @@ class TestQuadraticProduct:
         assert value == pytest.approx(0.5 * x @ obj.M @ x + obj.b @ x, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(gradient, obj.M @ x + obj.b, rtol=1e-12, atol=0.0)
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_matches_the_dense_forms_on_both_sides_of_the_crossover(self, data):
-        self._check_crossover(data, _sparse_point)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_co_sparse_points_match_the_dense_forms_on_both_sides_of_the_crossover(self, data):
-        # few coordinates below 1: the product starts from the row sums
-        self._check_crossover(data, _cosparse_point)
-
-    @staticmethod
-    def _check_poisoned(point, base, below, extra, by_rows):
+    @pytest.mark.parametrize(
+        "below, extra, by_rows",
+        [(0, 0, True), (0, 1, False), (1, 0, False)],
+        ids=["crossover", "past-crossover", "small-dimension"],
+    )
+    def test_support_product_reads_only_the_support_rows(self, below, extra, by_rows):
         n = ossmax.objectives.SUPPORT_MIN_DIMENSION - below
         rng = np.random.default_rng(n + extra)
         obj = _quadratic(n, rng)
-        x = point(n, n // ossmax.objectives.SUPPORT_SHARE + extra, rng)
+        x = _sparse_point(n, n // ossmax.objectives.SUPPORT_SHARE + extra, rng)
         value, gradient = 0.5 * x @ obj.M @ x + obj.b @ x, obj.M @ x + obj.b
-        same = np.flatnonzero(x == base)
-        obj.M[np.ix_(same, same)] = np.nan  # entries that no row the product sums holds
+        off = np.flatnonzero(x == 0.0)
+        obj.M[np.ix_(off, off)] = np.nan  # entries that no support row holds
         if by_rows:
             assert obj.value(x) == pytest.approx(value, rel=1e-12, abs=0.0)
             np.testing.assert_allclose(obj.gradient(x), gradient, rtol=1e-12, atol=0.0)
         else:
             with pytest.raises(SolverError):
                 obj.value(x)
-
-    @_CROSSOVER_SIDES
-    def test_support_product_reads_only_the_support_rows(self, below, extra, by_rows):
-        self._check_poisoned(_sparse_point, 0.0, below, extra, by_rows)
-
-    @_CROSSOVER_SIDES
-    def test_co_sparse_product_reads_only_the_rows_below_one(self, below, extra, by_rows):
-        self._check_poisoned(_cosparse_point, 1.0, below, extra, by_rows)
 
     def test_opt_bounds_values_the_all_ones_point_from_the_row_sums(self):
         n = ossmax.objectives.SUPPORT_MIN_DIMENSION
@@ -216,6 +185,20 @@ class TestQuadraticProduct:
         lower, upper = opt_bounds(obj, BoxPolytope(n))  # its max-l1 point is all ones too
         assert upper == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert lower == upper
+
+    def test_one_far_point_leaves_products_near_all_ones_exact(self):
+        # one point at 1e16 among points in a unit square: its column holds
+        # nearly all of each row sum, so a product taken as the row sums less
+        # that row would cancel
+        n = ossmax.objectives.SUPPORT_MIN_DIMENSION
+        rng = np.random.default_rng(8)
+        points = rng.random((n, 2))
+        points[0] = 1e16
+        obj = make_semimetric_instance(points, rng.uniform(0.01, 1.0, size=n))
+        for x in (np.ones(n), np.r_[0.0, np.ones(n - 1)], np.r_[0.5, np.ones(n - 1)]):
+            product = obj.M @ x
+            assert obj.value(x) == pytest.approx(0.5 * x @ product + obj.b @ x, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(obj.gradient(x), product + obj.b, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [6, ossmax.objectives.SUPPORT_MIN_DIMENSION])
     def test_kept_product_serves_only_its_own_point(self, n):
