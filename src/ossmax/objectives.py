@@ -179,10 +179,12 @@ class QuadraticSemiMetricObjective(OssObjective):
     Value and gradient share one product ``Mx``.  On a point with few
     nonzeros it sums the support's rows of ``M`` (``M`` is symmetric), so a
     query costs O(n * |supp x|) instead of O(n^2); see ``SUPPORT_SHARE``.
-    The all-ones point, which ``opt_bounds`` values on every solve, reads
-    ``M``'s row sums, taken once at construction, and costs O(n).  No other
-    point starts from the row sums: subtracting rows from them cancels when
-    a few rows hold most of a column's mass.  The product of the last point
+    The all-ones point, which ``opt_bounds`` values when the region's box
+    bound ``upper`` is all ones and differs from its max-l1 point (under a
+    cardinality budget below n, say), reads ``M``'s row sums, taken once
+    at construction, and costs O(n).  No other point starts from the row
+    sums: subtracting rows from them cancels when a few rows hold most of a
+    column's mass.  The product of the last point
     is kept, keyed by a copy of the point, so a gradient at the point whose
     value was just taken (or the reverse) costs O(n).  Either call still
     counts as one query, and ``reset_counters`` drops the kept product.  The

@@ -1,11 +1,11 @@
 """Feasible regions: box, cardinality, and ordered-coordinate polytopes.
 
-Every polytope here is implicitly intersected with the unit box.  The solvers
-move coordinates up, singly or in groups, and ask the region two closed-form
-questions: which coordinates can take a small step on their own
-(:meth:`Polytope.movable`) and how far a group can move together
-(:meth:`Polytope.headroom`).  The grid oracle asks a third: which lattice
-index prefixes no feasible point can complete
+Every region is the box ``[0, upper]`` of :class:`Polytope` cut by rows of
+its own.  The solvers move coordinates up, singly or in groups, and ask
+the region two closed-form questions: which coordinates can take a small
+step on their own (:meth:`Polytope.movable`) and how far a group can move
+together (:meth:`Polytope.headroom`).  The grid oracle asks a third: which
+lattice index prefixes no feasible point can complete
 (:meth:`Polytope._lattice_prefixes`).  Known gap: on a non-downward-closed
 region a coordinate tied with the coordinate that dominates it cannot move
 alone, so a tied chain whose dominating coordinate never clears the
@@ -24,35 +24,38 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 
 
 class Polytope:
-    """Base feasible region ``P ∩ [0,1]^n``.
+    """Base feasible region: the box ``{x : 0 <= x <= upper}``, ``upper`` in (0, 1]^n.
 
-    Subclasses override :meth:`_satisfies` / :meth:`_satisfies_many` with
-    their defining inequalities, :meth:`movable` / :meth:`headroom` with the
-    same inequalities in closed form, and set ``max_l1_point`` (a feasible
-    point of maximal l1 norm) plus ``bounding_point`` (a componentwise upper
-    bound of the region, used for the optimal-value upper bound).
+    The base answers the box part of every query.  A subclass overrides
+    :meth:`_satisfies_many` with its own rows, extends :meth:`movable`,
+    :meth:`headroom` and :meth:`_lattice_prefixes` through ``super()`` with
+    the same rows in closed form, and sets ``max_l1_point`` (a feasible
+    point of maximal l1 norm; by default ``upper``) when its rows cut
+    ``upper`` off.
     """
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, upper=1.0):
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         self.dimension = int(dimension)
-        self.max_l1_point: Vector = np.ones(self.dimension)
-        self.bounding_point: Vector = np.ones(self.dimension)
+        self.upper = np.empty(self.dimension)
+        self.upper[:] = upper
+        # NaN fails both comparisons
+        if not (0.0 < self.upper.min() and self.upper.max() <= 1.0):
+            raise ValueError("box upper bounds must lie in (0, 1]")
+        self.max_l1_point: Vector = self.upper
 
     def contains(self, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected a vector of length {self.dimension}, got shape {x.shape}")
-        if np.any(x < -tol) or np.any(x > 1.0 + tol):
-            return False
-        return self._satisfies(x, tol)
+        return bool(self.contains_many(x[None], tol)[0])
 
     def contains_many(self, X, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise ValueError(f"expected an array of shape (*, {self.dimension})")
-        ok = np.all((X >= -tol) & (X <= 1.0 + tol), axis=1)
+        ok = np.all((X >= -tol) & (X <= self.upper + tol), axis=1)
         if ok.any():
             ok[ok] = self._satisfies_many(X[ok], tol)
         return ok
@@ -64,16 +67,15 @@ class Polytope:
         ``x + step * I``, without building it.
         """
         x = np.asarray(x, dtype=float)
-        failing = ~self._coordinates_ok(x, tol)
+        top = self.upper + tol
+        moved = x + step
+        failing = ~((x >= -tol) & (x <= top))
         # row i: coordinate i passes once moved and no other coordinate fails
-        return self._coordinates_ok(x + step, tol) & (np.count_nonzero(failing) == failing)
+        return (moved >= -tol) & (moved <= top) & (np.count_nonzero(failing) == failing)
 
     def headroom(self, x, members) -> float:
         """Largest ``delta`` with ``x + delta * 1_S`` in the region, ``S = members`` (nonempty)."""
-        return float(np.min(1.0 - np.asarray(x, dtype=float)[members]))
-
-    def _coordinates_ok(self, x: np.ndarray, tol: float) -> np.ndarray:
-        return (x >= -tol) & (x <= 1.0 + tol)
+        return float(np.min(self.upper[members] - np.asarray(x, dtype=float)[members]))
 
     def _lattice_prefixes(self, idx: np.ndarray, levels: np.ndarray, tol: float) -> np.ndarray:
         """Mask of the index prefixes that a feasible lattice point may still complete.
@@ -83,15 +85,17 @@ class Polytope:
         prefix already passed.  ``levels`` is increasing, with gaps wider than
         ``tol``.  The mask may keep infeasible prefixes (the grid oracle tests
         every candidate with :meth:`contains_many`) but must keep each prefix
-        of a point that :meth:`contains_many` accepts.  The base region prunes
-        nothing.
+        of a point that :meth:`contains_many` accepts.  The box drops the
+        prefixes whose coordinate ``k`` lies above its bound.
         """
-        return np.ones(len(idx), dtype=bool)
-
-    def _satisfies(self, x: np.ndarray, tol: float) -> bool:
-        return True
+        k = idx.shape[1] - 1
+        top = np.count_nonzero(levels <= self.upper[k] + tol) - 1
+        if top == len(levels) - 1:  # skip the row test: chains and budgets grow ~10^5 rows a call
+            return np.ones(len(idx), dtype=bool)
+        return idx[:, k] <= top
 
     def _satisfies_many(self, X: np.ndarray, tol: float) -> np.ndarray:
+        """Rows of ``X`` (each inside the box) that satisfy the region's own rows."""
         return np.ones(len(X), dtype=bool)
 
     def describe(self) -> dict:
@@ -99,32 +103,7 @@ class Polytope:
 
 
 class BoxPolytope(Polytope):
-    """``{x : 0 <= x <= upper}`` with ``upper`` in (0, 1]^n."""
-
-    def __init__(self, dimension: int, upper=1.0):
-        super().__init__(dimension)
-        upper = np.broadcast_to(np.asarray(upper, dtype=float), (dimension,)).copy()
-        if np.any(upper <= 0.0) or np.any(upper > 1.0):
-            raise ValueError("box upper bounds must lie in (0, 1]")
-        self.upper = upper
-        self.max_l1_point = upper.copy()
-        self.bounding_point = upper.copy()
-
-    def _satisfies(self, x, tol):
-        return bool(np.all(x <= self.upper + tol))
-
-    def _satisfies_many(self, X, tol):
-        return np.all(X <= self.upper + tol, axis=1)
-
-    def _coordinates_ok(self, x, tol):
-        return super()._coordinates_ok(x, tol) & (x <= self.upper + tol)
-
-    def headroom(self, x, members):
-        return float(np.min(self.upper[members] - np.asarray(x, dtype=float)[members]))
-
-    def _lattice_prefixes(self, idx, levels, tol):
-        k = idx.shape[1] - 1
-        return (levels <= self.upper[k] + tol)[idx[:, k]]
+    """``{x : 0 <= x <= upper}`` with ``upper`` in (0, 1]^n: the base box alone."""
 
     def describe(self):
         return {"kind": "box", "upper": self.upper.tolist()}
@@ -144,10 +123,6 @@ class CardinalityPolytope(Polytope):
         if whole < dimension:
             point[whole] = self.budget - whole
         self.max_l1_point = point
-        self.bounding_point = np.ones(dimension)
-
-    def _satisfies(self, x, tol):
-        return bool(x.sum() <= self.budget + tol)
 
     def _satisfies_many(self, X, tol):
         return X.sum(axis=1) <= self.budget + tol
@@ -166,7 +141,8 @@ class CardinalityPolytope(Polytope):
         total = idx[:, 0].astype(np.uint32)
         for column in idx.T[1:]:
             total += column
-        return total <= (self.budget + tol) * resolution * (1.0 + 1e-12)
+        keep = super()._lattice_prefixes(idx, levels, tol)
+        return keep & (total <= (self.budget + tol) * resolution * (1.0 + 1e-12))
 
     def describe(self):
         return {"kind": "cardinality", "budget": self.budget}
@@ -177,7 +153,7 @@ class MonotoneLinearPolytope(Polytope):
 
     Not downward-closed: lowering a dominated coordinate below a dominating
     one leaves the region.  The all-ones point is always feasible, so it is
-    both the max-l1 point and the bounding point.
+    the max-l1 point.
     """
 
     def __init__(self, dimension: int, pairs: Iterable[Tuple[int, int]]):
@@ -193,9 +169,6 @@ class MonotoneLinearPolytope(Polytope):
         self.pairs = tuple(cleaned)
         self._lo = np.array([p[0] for p in self.pairs])
         self._hi = np.array([p[1] for p in self.pairs])
-
-    def _satisfies(self, x, tol):
-        return bool(np.all(x[self._lo] <= x[self._hi] + tol))
 
     def _satisfies_many(self, X, tol):
         return np.all(X[:, self._lo] <= X[:, self._hi] + tol, axis=1)
@@ -228,7 +201,7 @@ class MonotoneLinearPolytope(Polytope):
     def _lattice_prefixes(self, idx, levels, tol):
         # levels more than tol apart: x_lo <= x_hi + tol holds iff idx_lo <= idx_hi
         k = idx.shape[1] - 1
-        keep = np.ones(len(idx), dtype=bool)
+        keep = super()._lattice_prefixes(idx, levels, tol)
         for lo, hi in self.pairs:
             if max(lo, hi) == k:
                 keep &= idx[:, lo] <= idx[:, hi]
@@ -241,18 +214,14 @@ class MonotoneLinearPolytope(Polytope):
 def opt_bounds(objective, polytope: Polytope) -> Tuple[float, float]:
     """Bracket the optimum of a monotone normalized objective over the region.
 
-    The lower bound evaluates the objective at the feasible max-l1 point.
-    The upper bound evaluates it at the all-ones point and at the region's
-    componentwise bounding point and takes the smaller; monotonicity makes
-    both valid upper bounds.  Points are evaluated once each, in that order;
+    The lower bound evaluates the objective at the feasible max-l1 point,
+    the upper bound at ``upper``, which dominates every feasible point, so
+    monotonicity makes it valid.  The all-ones point is never needed: it
+    dominates ``upper`` in turn, so its value is never the smaller bound.
+    The points are evaluated in that order, once when they are equal;
     ``objective`` needs only a ``value`` method.
     """
-    points = [polytope.max_l1_point, np.ones(polytope.dimension), polytope.bounding_point]
-    values = {}
-    for p in points:
-        key = p.tobytes()
-        if key not in values:
-            values[key] = objective.value(p)
-    lower = values[points[0].tobytes()]
-    upper = min(values[points[1].tobytes()], values[points[2].tobytes()])
-    return lower, upper
+    lower = objective.value(polytope.max_l1_point)
+    if np.array_equal(polytope.max_l1_point, polytope.upper):
+        return lower, lower
+    return lower, objective.value(polytope.upper)

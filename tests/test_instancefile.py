@@ -102,6 +102,18 @@ class TestErrors:
         with pytest.raises(ValueError):
             read_instance(path)
 
+    def test_nan_box_bound(self, tmp_path):
+        # json reads the bare NaN token, so the region must reject it
+        obj = make_coverage_instance(2, 3, seed=0)
+        path = tmp_path / "nan.json"
+        write_instance(path, Instance(obj, BoxPolytope(2)))
+        data = json.loads(path.read_text())
+        data["polytope"]["upper"] = [float("nan"), 1.0]
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError):
+            read_instance(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_instance(tmp_path / "absent.json")

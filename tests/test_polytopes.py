@@ -173,6 +173,24 @@ class TestOptBounds:
             assert grid <= upper + 1e-9
             assert lower <= upper + 1e-9
 
+    @pytest.mark.parametrize(
+        "p, calls",
+        [
+            (BoxPolytope(3, 0.5), 1),
+            (BoxPolytope(3, 1.0), 1),
+            (CardinalityPolytope(3, 2), 2),
+            (MonotoneLinearPolytope(3, [(0, 1), (1, 2)]), 1),
+        ],
+    )
+    def test_value_calls(self, p, calls):
+        # one call per distinct point among the max-l1 point and ``upper``
+        obj = make_coverage_instance(3, 4, density=0.5, seed=9)
+        obj.reset_counters()
+        lower, upper = opt_bounds(obj, p)
+        assert obj.value_calls == calls
+        assert lower == obj.value(p.max_l1_point)
+        assert upper == obj.value(p.upper)
+
 
 class TestValidation:
     def test_box_bounds_domain(self):
@@ -180,6 +198,11 @@ class TestValidation:
             BoxPolytope(2, [0.0, 1.0])
         with pytest.raises(ValueError):
             BoxPolytope(2, 1.5)
+
+    @pytest.mark.parametrize("upper", [float("nan"), [float("nan"), 1.0], [0.5, float("nan")]])
+    def test_box_bounds_reject_nan(self, upper):
+        with pytest.raises(ValueError):
+            BoxPolytope(2, upper)
 
     def test_cardinality_budget_domain(self):
         with pytest.raises(ValueError):

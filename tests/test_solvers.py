@@ -626,9 +626,6 @@ class _HalfSpace(Polytope):
         super().__init__(len(a))
         self.a = np.asarray(a, dtype=float)
 
-    def _satisfies(self, x, tol):
-        return bool(x @ self.a <= 1.0 + tol)
-
     def _satisfies_many(self, X, tol):
         return X @ self.a <= 1.0 + tol
 
