@@ -9,8 +9,9 @@ This script measures medians over five seeds per point; the same sweep backs
 the acceptance tests' frozen budget constants.  It then times one value and
 one gradient of sparse coverage instances (m = 4n, density 3/n) up to
 n = 10^4, where a dense m x n incidence would hold 4 * 10^8 entries, and
-one value and one gradient of the distance-matrix quadratic, for n up to
-4096, at points with n/8 and n nonzeros and at the all-ones point.
+one build and one value and one gradient of the distance-matrix quadratic,
+for n up to 4096, at points with n/8 and n nonzeros and at the all-ones
+point; a build's traced peak is given against the 8n^2 bytes of one M.
 Last, it runs the grid oracle on box, cardinality and chain regions of
 dimension 4 to 7 and counts the lattice points it holds, the candidates it
 tests for membership and the feasible points it evaluates.
@@ -18,8 +19,10 @@ tests for membership and the feasible points it evaluates.
 Run: python demos/benchmark_scaling.py
 """
 
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -81,9 +84,25 @@ print()
 print("value and gradient cost O(nnz): a call stays in milliseconds at n = 10^4.")
 
 print()
-print(f"{'n':>6} {'point':>12} {'value_ms':>9} {'gradient_ms':>12} {'kept_gradient_ms':>17}")
+print(
+    f"{'n':>6} {'build_s':>8} {'peak_MB':>8} {'peak/8n^2':>10} "
+    f"{'point':>12} {'value_ms':>9} {'gradient_ms':>12} {'kept_gradient_ms':>17}"
+)
 for n in (1024, 2048, 4096):
-    objective = random_semimetric_instance(n, seed=n)
+    gc.collect()  # finished objectives hold reference cycles
+    tracemalloc.start()
+    random_semimetric_instance(n, seed=n)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    builds = []
+    for _ in range(3):  # best of three builds
+        objective = None  # drop the previous build before timing the next
+        gc.collect()
+        start = time.perf_counter()
+        objective = random_semimetric_instance(n, seed=n)
+        builds.append(time.perf_counter() - start)
+    build = min(builds)
+    built = f"{n:>6} {build:>8.3f} {peak / 1e6:>8.1f} {peak / (8 * n * n):>10.2f}"
     rng = np.random.default_rng(n)
     sparse, dense = np.zeros(n), rng.uniform(size=n)
     sparse[rng.choice(n, n // 8, replace=False)] = rng.uniform(size=n // 8)
@@ -102,10 +121,13 @@ for n in (1024, 2048, 4096):
                 oracle(x)
                 calls.append(1e3 * (time.perf_counter() - start))
             timings.append(min(calls))
-        print(f"{n:>6} {label:>12} {timings[0]:>9.3f} {timings[1]:>12.3f} {timings[2]:>17.3f}")
+        print(f"{built} {label:>12} {timings[0]:>9.3f} {timings[1]:>12.3f} {timings[2]:>17.3f}")
+        built = f"{'':>6} {'':>8} {'':>8} {'':>10}"
     del objective
 
 print()
+print("A build writes one n x n matrix and keeps it, so its traced peak stays")
+print("near 8n^2 bytes.")
 print("A quadratic value or gradient costs O(n * |supp x|) on a sparse point,")
 print("O(n) at the all-ones point (M's row sums are kept) and O(n^2) on other")
 print("dense points; a gradient at the point just valued reuses its product and")

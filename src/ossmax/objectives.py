@@ -42,7 +42,8 @@ VALUE_MANY_CHUNK = 100_000  # entries of the temporaries per batch of value_many
 # in L2, its fixed cost eats the saving: 0.89x at one nonzero of n = 256,
 # 1.05x at n/16, and 1.9-3.6x at n <= 128.  The distance build that makes M
 # takes its rows in blocks of PRODUCT_BLOCK entries too (2^15-2^16 were the
-# fastest of 2^12...2^18 at n = 512 / 2048 / 4096).
+# fastest of 2^12...2^18 at n = 512 / 2048 / 4096), and verify_semimetric
+# takes its n^3 residuals in blocks of at least one row of n^2 entries.
 SUPPORT_SHARE = 4
 SUPPORT_MIN_DIMENSION = 512
 PRODUCT_BLOCK = 1 << 16
@@ -190,10 +191,16 @@ class QuadraticSemiMetricObjective(OssObjective):
     counts as one query, and ``reset_counters`` drops the kept product.  The
     key is the point alone, so ``M`` and its row sums are read as fixed once
     the objective is built.
+
+    ``M`` is used as given, not copied: a C-contiguous float64 array becomes
+    ``self.M`` itself, and any other input is converted once to a C-ordered
+    float64 array.  Changing the caller's array after construction is not
+    supported, since the row sums and the kept product are taken from it.
+    ``b`` is copied.
     """
 
     def __init__(self, M, b, sigma: float = 1.0, label: str = "quadratic-semimetric"):
-        M = np.asarray(M, dtype=float)
+        M = np.ascontiguousarray(M, dtype=float)
         b = np.asarray(b, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("M must be a square matrix")
@@ -202,9 +209,10 @@ class QuadraticSemiMetricObjective(OssObjective):
             raise ValueError(f"b must have length {n}, got shape {b.shape}")
         if not _is_symmetric(M):
             raise ValueError("M must be symmetric")
-        if np.any(M < 0.0) or np.any(b < 0.0):
+        # NaN failed the symmetry check, so M's minimum is a number
+        if (M.size and M.min() < 0.0) or np.any(b < 0.0):
             raise ValueError("M and b must be nonnegative")
-        self.M = M.copy()
+        self.M = M
         self.b = b.copy()
         self._row_sums = self.M @ np.ones(n)  # the product at the all-ones point
         # (bytes of the last point, its product), replaced whole so that a
@@ -404,17 +412,25 @@ def _ordered_pair_sums(r, starts, segment) -> np.ndarray:
 def _distances(pts: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``pts``, a block of about
     ``PRODUCT_BLOCK`` entries of rows at a time.  Each block sums its squared
-    differences over the point dimensions in order, in one reused buffer, so
-    no temporary as large as the n x n result is made."""
-    n = len(pts)
-    out = np.zeros((n, n))
+    differences over the point dimensions in order: the first is written
+    straight into the output and the rest are added from one reused buffer,
+    so no temporary as large as the n x n result is made.  The output is
+    written once and never zero-filled first; points with no coordinates are
+    all at distance 0."""
+    n, dim = pts.shape
+    if dim == 0:
+        return np.zeros((n, n))
+    out = np.empty((n, n))
     rows = max(1, PRODUCT_BLOCK // n)
     buffer = np.empty((rows, n))
     for start in range(0, n, rows):
+        block = pts[start : start + rows]
         sq = out[start : start + rows]
         d = buffer[: len(sq)]
-        for k in range(pts.shape[1]):
-            np.subtract.outer(pts[start : start + rows, k], pts[:, k], out=d)
+        np.subtract.outer(block[:, 0], pts[:, 0], out=sq)
+        np.multiply(sq, sq, out=sq)  # bit for bit 0 + sq, as sq >= +0
+        for k in range(1, dim):
+            np.subtract.outer(block[:, k], pts[:, k], out=d)
             sq += np.multiply(d, d, out=d)
         np.sqrt(sq, out=sq)
     return out
@@ -691,6 +707,12 @@ def verify_semimetric(M, sigma: float, tol: float = 1e-9) -> SemiMetricReport:
     Runs over all triples with ``k`` distinct from ``i`` and ``j`` (the
     degenerate ``k = i`` triple would force every positive entry to fail for
     ``sigma < 1``, which is not the intended reading of the bound).
+
+    The n^3 residuals ``M[i,j] - sigma * (M[i,k] + M[k,j])`` are taken in
+    blocks of about ``PRODUCT_BLOCK`` entries of ``i`` rows (at least one row
+    of n^2), so memory stays O(n^2).  The witness is the first largest
+    residual in ``(i, j, k)`` order, or the first NaN, as one argmax over
+    all of them would give.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -698,14 +720,26 @@ def verify_semimetric(M, sigma: float, tol: float = 1e-9) -> SemiMetricReport:
     n = M.shape[0]
     if n < 3:
         return SemiMetricReport(True, -math.inf, None)
-    # residual[i, j, k] = M[i, j] - sigma * (M[i, k] + M[k, j])
-    residual = M[:, :, None] - sigma * (M[:, None, :] + M.T[None, :, :])
     idx = np.arange(n)
-    residual[idx, :, idx] = -math.inf  # k == i
-    residual[:, idx, idx] = -math.inf  # k == j
-    flat = int(np.argmax(residual))
-    i, j, k = np.unravel_index(flat, residual.shape)
-    worst = float(residual[i, j, k])
+    rows = min(n, max(1, PRODUCT_BLOCK // (n * n)))
+    residual = np.empty((rows, n, n))
+    worst, witness = -math.inf, None
+    for start in range(0, n, rows):
+        block = M[start : start + rows]
+        r = residual[: len(block)]
+        # r[a, j, k] = M[i, j] - sigma * (M[i, k] + M[k, j]) for i = start + a
+        np.add(block[:, None, :], M.T[None, :, :], out=r)
+        r *= sigma
+        np.subtract(block[:, :, None], r, out=r)
+        local = np.arange(len(block))
+        r[local, :, start + local] = -math.inf  # k == i
+        r[:, idx, idx] = -math.inf  # k == j
+        a, j, k = np.unravel_index(int(np.argmax(r)), r.shape)
+        value = float(r[a, j, k])
+        # strictly greater keeps the earlier of equal residuals; a NaN, which
+        # argmax returns first, holds the place once taken
+        if not math.isnan(worst) and not worst >= value:
+            worst, witness = value, (start + int(a), int(j), int(k))
     if worst > tol:
-        return SemiMetricReport(False, worst, (int(i), int(j), int(k)))
+        return SemiMetricReport(False, worst, witness)
     return SemiMetricReport(True, worst, None)

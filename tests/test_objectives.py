@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ossmax import (
     make_coverage_instance,
     make_semimetric_instance,
     opt_bounds,
+    random_semimetric_instance,
     verify_eta_local,
     verify_oss,
     verify_semimetric,
@@ -118,6 +121,83 @@ class TestSemiMetricConstruction:
             u = rng.uniform(size=3)
             assert np.allclose(obj.gradient(x), obj.M @ x + obj.b)
             assert obj.hessian_quadratic_form(x, u) == pytest.approx(u @ obj.M @ u)
+
+    def test_points_without_coordinates_are_all_at_distance_zero(self):
+        obj = make_semimetric_instance(np.zeros((3, 0)), np.ones(3))
+        assert np.array_equal(obj.M, np.zeros((3, 3)))
+
+
+def _traced_peak(build):
+    """``build()``'s result and the bytes it allocated at its peak."""
+    gc.collect()  # finished objectives hold reference cycles
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestQuadraticAdoptsM:
+    """The objective keeps the caller's matrix, or one converted copy of it."""
+
+    def test_c_contiguous_float_matrix_is_used_as_given(self):
+        A = np.random.default_rng(1).random((6, 6))
+        M = A + A.T
+        assert QuadraticSemiMetricObjective(M, np.ones(6)).M is M
+
+    @pytest.mark.parametrize("layout", ["fortran", "integer"])
+    def test_other_matrices_are_converted_to_c_ordered_floats(self, layout):
+        A = np.random.default_rng(2).integers(0, 9, size=(6, 6))
+        M = np.asfortranarray(A + A.T, dtype=float) if layout == "fortran" else A + A.T
+        obj = QuadraticSemiMetricObjective(M, np.ones(6))
+        assert obj.M.dtype == np.float64 and obj.M.flags.c_contiguous
+        assert np.array_equal(obj.M, M)
+
+    def test_build_holds_one_matrix(self):
+        n = 1024
+        _, peak = _traced_peak(lambda: random_semimetric_instance(n, seed=4))
+        assert peak <= 1.25 * 8 * n * n
+
+
+def _dense_semimetric_report(M, sigma, tol=1e-9):
+    """The n^3 residual array and one argmax over it: the reference form."""
+    n = len(M)
+    residual = M[:, :, None] - sigma * (M[:, None, :] + M.T[None, :, :])
+    idx = np.arange(n)
+    residual[idx, :, idx] = -math.inf
+    residual[:, idx, idx] = -math.inf
+    i, j, k = np.unravel_index(int(np.argmax(residual)), residual.shape)
+    worst = float(residual[i, j, k])
+    return worst > tol, worst, (int(i), int(j), int(k))
+
+
+class TestVerifySemimetricBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dense_form(self, data):
+        n = data.draw(st.integers(3, 6))
+        # entries from a few small values plant ties; NaN plants the witness
+        # that argmax puts first
+        values = [0.0, 1.0, 2.0, 3.0] + ([math.nan] if data.draw(st.booleans()) else [])
+        M = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n))).reshape(n, n)
+        sigma = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        with pytest.MonkeyPatch.context() as mp:
+            # one, two or all rows of residuals a block
+            rows = data.draw(st.sampled_from([1, 2, n]))
+            mp.setattr(ossmax.objectives, "PRODUCT_BLOCK", rows * n * n)
+            report = verify_semimetric(M, sigma)
+        failed, worst, witness = _dense_semimetric_report(M, sigma)
+        assert report.passed is not failed
+        assert report.worst_violation == worst or (math.isnan(worst) and math.isnan(report.worst_violation))
+        assert report.witness == (witness if failed else None)
+
+    def test_memory_stays_quadratic(self):
+        M = random_semimetric_instance(200, seed=5).M
+        report, peak = _traced_peak(lambda: verify_semimetric(M, 1.0))
+        assert peak < 10e6
+        assert report.passed
 
 
 def _quadratic(n, rng):
