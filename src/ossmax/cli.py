@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -53,24 +54,6 @@ from .solvers import (
     serial_greedy,
     stochastic_parallel_greedy,
 )
-
-CSV_HEADER = [
-    "instance",
-    "solver",
-    "seed",
-    "dimension",
-    "value",
-    "opt_lower",
-    "opt_upper",
-    "grid_opt",
-    "ratio",
-    "adaptive_rounds",
-    "value_queries",
-    "gradient_queries",
-    "wall_time_s",
-    "error",
-    "config",
-]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -130,6 +113,9 @@ class RunRecord:
         return [fmt(getattr(self, name)) for name in CSV_HEADER]
 
 
+CSV_HEADER = [field.name for field in dataclasses.fields(RunRecord)]
+
+
 def _append_rows(path: Path, records) -> None:
     new_file = not path.exists() or path.stat().st_size == 0
     with open(path, "a", newline="", encoding="utf-8") as fh:
@@ -141,39 +127,19 @@ def _append_rows(path: Path, records) -> None:
 
 
 def _config_from_args(args, instance: Instance) -> SolverConfig:
-    sigma = args.sigma if args.sigma is not None else instance.objective.sigma_claimed
-    kwargs = dict(
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        eta=args.eta,
-        sigma=sigma,
-        delta_tol=args.delta_tol,
-        value_tol=args.value_tol,
-        spg_batch=args.batch,
-        lipschitz_L=args.lipschitz,
-        diameter_D=args.diameter,
-        noise_theta=args.theta,
-    )
-    if args.max_outer_rounds is not None:
-        kwargs["max_outer_rounds"] = args.max_outer_rounds
-    return SolverConfig(**kwargs)
+    """The flags the user gave, ``SolverConfig``'s defaults for the rest;
+    ``sigma`` defaults to the instance's claim."""
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(SolverConfig)
+        if getattr(args, field.name) is not None
+    }
+    given.setdefault("sigma", instance.objective.sigma_claimed)
+    return SolverConfig(**given)
 
 
 def _config_echo(cfg: SolverConfig) -> str:
-    fields = {
-        "alpha": cfg.alpha,
-        "epsilon": cfg.epsilon,
-        "eta": cfg.eta,
-        "sigma": cfg.sigma,
-        "delta_tol": cfg.delta_tol,
-        "value_tol": cfg.value_tol,
-        "max_outer_rounds": cfg.max_outer_rounds,
-        "spg_batch": cfg.spg_batch,
-        "lipschitz_L": cfg.lipschitz_L,
-        "diameter_D": cfg.diameter_D,
-        "noise_theta": cfg.noise_theta,
-    }
-    return json.dumps(fields, sort_keys=True)
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
 
 
 def _grid_value(instance: Instance, resolution: Optional[int]) -> Optional[float]:
@@ -234,17 +200,19 @@ def _run_one(
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.05, help="jump-start scale in (0, 1]")
-    parser.add_argument("--epsilon", type=float, default=0.1, help="threshold decay in (0, 1)")
-    parser.add_argument("--eta", type=float, default=0.0, help="locality parameter (step cap)")
+    """One flag per ``SolverConfig`` field, stored under the field's name;
+    an omitted flag stays None and the field keeps its default."""
+    parser.add_argument("--alpha", type=float, default=None, help="jump-start scale in (0, 1]")
+    parser.add_argument("--epsilon", type=float, default=None, help="threshold decay in (0, 1)")
+    parser.add_argument("--eta", type=float, default=None, help="locality parameter (step cap)")
     parser.add_argument("--sigma", type=float, default=None, help="smoothness parameter (defaults to the instance claim)")
-    parser.add_argument("--delta-tol", type=float, default=1e-6, dest="delta_tol", help="step search resolution")
-    parser.add_argument("--value-tol", type=float, default=1e-9, dest="value_tol", help="relative numeric tolerance")
+    parser.add_argument("--delta-tol", type=float, default=None, dest="delta_tol", help="step search resolution")
+    parser.add_argument("--value-tol", type=float, default=None, dest="value_tol", help="relative numeric tolerance")
     parser.add_argument("--max-outer-rounds", type=int, default=None, dest="max_outer_rounds", help="outer loop safety cap")
-    parser.add_argument("--batch", type=int, default=64, help="samples per empirical mean (spg)")
-    parser.add_argument("--theta", type=float, default=0.0, help="gradient noise scale (spg)")
-    parser.add_argument("--lipschitz", type=float, default=0.0, help="gradient Lipschitz constant (spg)")
-    parser.add_argument("--diameter", type=float, default=0.0, help="feasible-region diameter bound (spg)")
+    parser.add_argument("--batch", type=int, default=None, dest="spg_batch", help="samples per empirical mean (spg)")
+    parser.add_argument("--theta", type=float, default=None, dest="noise_theta", help="gradient noise scale (spg)")
+    parser.add_argument("--lipschitz", type=float, default=None, dest="lipschitz_L", help="gradient Lipschitz constant (spg)")
+    parser.add_argument("--diameter", type=float, default=None, dest="diameter_D", help="feasible-region diameter bound (spg)")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 

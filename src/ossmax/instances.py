@@ -85,10 +85,6 @@ def _objective_from_dict(data: dict) -> OssObjective:
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def _polytope_to_dict(polytope: Polytope) -> dict:
-    return polytope.describe()
-
-
 def _polytope_from_dict(data: dict, dimension: int) -> Polytope:
     kind = data.get("kind")
     if kind == "box":
@@ -106,7 +102,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "label": instance.label,
         "seed": instance.seed,
         "objective": _objective_to_dict(instance.objective),
-        "polytope": _polytope_to_dict(instance.polytope),
+        "polytope": instance.polytope.describe(),
     }
 
 

@@ -104,9 +104,13 @@ def kappa_envelope(
     ``max(5 * grad_gap_sq, 16 theta^2 + 2 L^2 D^2) / (t + 9)^(2/3)`` where
     ``grad_gap_sq`` is the squared initial gap ``||grad F(x0) - d0||^2`` when
     known.  Solvers use the configured-constants branch only; tests with
-    ground-truth access may supply the gap.
+    ground-truth access may supply the gap.  A NaN in either term makes
+    the envelope NaN.
     """
-    numerator = max(5.0 * grad_gap_sq, 16.0 * theta**2 + 2.0 * (lipschitz**2) * (diameter**2))
+    gap_term = 5.0 * grad_gap_sq
+    constants_term = 16.0 * theta**2 + 2.0 * (lipschitz**2) * (diameter**2)
+    # max() would drop a NaN second argument: its comparison fails
+    numerator = gap_term if gap_term > constants_term or math.isnan(gap_term) else constants_term
     return numerator / (t + 9.0) ** (2.0 / 3.0)
 
 
@@ -227,45 +231,12 @@ def _line_search(
             trace.adaptive_rounds += 1
 
 
-class _ExactGradient:
-    """Gradient source of the deterministic solver: the exact gradient at each new point."""
+class _Exact:
+    """Exact oracle access, for the deterministic solver and the serial baseline.
 
-    def __init__(self, obj: OssObjective, trace: SolverTrace):
-        self.obj, self.trace = obj, trace
-
-    def refresh(self, x: Vector, clock: float) -> None:
-        pass
-
-    def direction(self, x: Vector) -> Vector:
-        self.trace.gradient_queries += 1
-        return self.obj.gradient(x)
-
-
-class _MomentumGradient:
-    """Gradient source of the stochastic solver: a momentum-averaged estimate.
-
-    Each refresh folds in one noisy sample and counts one gradient query and
-    one adaptive round.
-    """
-
-    def __init__(self, sobj: StochasticObjective, trace: SolverTrace):
-        self.sobj, self.trace = sobj, trace
-        self.estimate = initial_gradient_estimate(sobj.dimension)
-
-    def refresh(self, x: Vector, clock: float) -> None:
-        self.trace.gradient_queries += 1
-        self.trace.adaptive_rounds += 1
-        sample = check_finite(self.sobj.sample_gradient(x), "stochastic gradient sample")
-        self.estimate = update_gradient_estimate(self.estimate, sample, clock)
-
-    def direction(self, x: Vector) -> Vector:
-        return self.estimate.d
-
-
-class _ExactGain:
-    """Gain test ``mu (1-eps)^2 lam`` on exact values.
-
-    The search's value at the accepted step becomes the current value.
+    Directions are the exact gradient at each new point; the gain test is
+    ``mu (1-eps)^2 lam`` on exact values, and the search's value at the
+    accepted step becomes the current value.
     """
 
     quadratic_mu = False
@@ -277,6 +248,13 @@ class _ExactGain:
         self.trace.value_queries += 1
         return self.obj.value(point)
 
+    def refresh(self, x: Vector, clock: float) -> None:
+        pass
+
+    def direction(self, x: Vector) -> Vector:
+        self.trace.gradient_queries += 1
+        return self.obj.gradient(x)
+
     def test(self, x: Vector, fx: float, lam: float, t: float) -> Tuple[float, float]:
         """(rate, base value) of a step search from ``x``."""
         return self.cfg.mu * (1.0 - self.cfg.epsilon) ** 2 * lam, fx
@@ -285,22 +263,25 @@ class _ExactGain:
         return f_step
 
 
-class _EmpiricalGain:
-    """Gain test widened by ``sqrt(kappa) * n / mu``, on empirical values.
+class _Sampled:
+    """Sample access, for the stochastic solver.
 
-    ``kappa`` is the variance envelope from the configured constants.  Each
-    search starts from a fresh empirical mean of ``spg_batch`` samples at
-    ``x``.  Reported values read the wrapped ground truth for monitoring;
-    the solver's decisions never touch it.
+    Directions are a momentum-averaged estimate; each refresh folds in one
+    noisy sample and counts one gradient query and one adaptive round.  The
+    gain test is widened by ``sqrt(kappa) * n / mu``, with ``kappa`` the
+    variance envelope from the configured constants, and each search starts
+    from a fresh empirical mean of ``spg_batch`` samples at ``x``.  Reported
+    values read the wrapped ground truth for monitoring; the solver's
+    decisions never touch it.
     """
 
     quadratic_mu = True
 
     def __init__(self, sobj: StochasticObjective, cfg: SolverConfig, trace: SolverTrace):
         self.sobj, self.cfg, self.trace = sobj, cfg, trace
-        self.kappa_numerator = 16.0 * cfg.noise_theta**2 + 2.0 * (cfg.lipschitz_L**2) * (cfg.diameter_D**2)
-        if not math.isfinite(self.kappa_numerator):
+        if not math.isfinite(kappa_envelope(0.0, cfg.noise_theta, cfg.lipschitz_L, cfg.diameter_D)):
             raise SolverError("variance envelope is non-finite; check L, D, theta")
+        self.estimate = initial_gradient_estimate(sobj.dimension)
 
     def value(self, point) -> float:
         self.trace.value_queries += 1
@@ -309,10 +290,20 @@ class _EmpiricalGain:
             raise SolverError("empirical value is non-finite")
         return v
 
+    def refresh(self, x: Vector, clock: float) -> None:
+        self.trace.gradient_queries += 1
+        self.trace.adaptive_rounds += 1
+        sample = check_finite(self.sobj.sample_gradient(x), "stochastic gradient sample")
+        self.estimate = update_gradient_estimate(self.estimate, sample, clock)
+
+    def direction(self, x: Vector) -> Vector:
+        return self.estimate.d
+
     def test(self, x: Vector, fx: float, lam: float, t: float) -> Tuple[float, float]:
-        mu, n = self.cfg.mu, len(x)
-        kappa = self.kappa_numerator / (t + 9.0) ** (2.0 / 3.0)
-        rate = mu * (1.0 - self.cfg.epsilon) ** 2 * (lam + math.sqrt(kappa) * n / mu)
+        cfg = self.cfg
+        mu, n = cfg.mu, len(x)
+        kappa = kappa_envelope(t, cfg.noise_theta, cfg.lipschitz_L, cfg.diameter_D)
+        rate = mu * (1.0 - cfg.epsilon) ** 2 * (lam + math.sqrt(kappa) * n / mu)
         return rate, self.value(x)
 
     def settle(self, x: Vector, f_step: float) -> float:
@@ -328,8 +319,7 @@ def _threshold_sweep(
     polytope: Polytope,
     cfg: SolverConfig,
     trace: SolverTrace,
-    source,
-    gain,
+    oracle,
     x: Vector,
     t: float,
     fx: float,
@@ -339,10 +329,10 @@ def _threshold_sweep(
     """The threshold sweep shared by both parallel solvers.
 
     Starts the threshold at the optimum's upper bound.  At each level it
-    selects every movable coordinate whose ``source`` direction clears the
+    selects every movable coordinate whose ``oracle`` direction clears the
     cutoff, moves the selected coordinates together by the largest step that
-    passes ``gain``'s test, and selects again at the same level; it decays
-    the threshold by ``1 - eps`` when no step remains.  A scan where nothing
+    passes the oracle's gain test, and selects again at the same level; it
+    decays the threshold by ``1 - eps`` when no step remains.  A scan where nothing
     would clear the cutoff first decays the threshold past those empty
     levels, within its one adaptive round: no oracle is called and nothing
     changes between them.  It stops when no coordinate can move or the
@@ -350,7 +340,7 @@ def _threshold_sweep(
     ``outer_rounds`` counts the threshold levels visited, skipped ones
     included; RoundLimitError is raised once it exceeds the safety cap.
 
-    ``source`` is refreshed at the start point and after every accepted step,
+    ``oracle`` is refreshed at the start point and after every accepted step,
     with the clock from before the step.  ``selection_log``, when given,
     collects ``(lam, direction, candidates, members)`` tuples for selection
     replay, one per scan that selected something.
@@ -384,30 +374,30 @@ def _threshold_sweep(
         return members
 
     floor = _lambda_floor(cfg.mu, lower, upper, polytope)
-    source.refresh(x, t)
+    oracle.refresh(x, t)
     movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
-    direction = source.direction(x)
+    direction = oracle.direction(x)
 
     while lam >= floor and movable.any():
         enter_level()
         members = scan(direction)
         while members.size:
-            rate, f_base = gain.test(x, fx, lam, t)
+            rate, f_base = oracle.test(x, fx, lam, t)
             delta, f_step = _line_search(
-                gain.value, f_base, x, members, rate, polytope, cfg, trace, gain.quadratic_mu
+                oracle.value, f_base, x, members, rate, polytope, cfg, trace, oracle.quadratic_mu
             )
             if delta <= 0.0:
                 break  # stale set at this threshold
             x = np.minimum(_moved(x, members, delta), 1.0)
-            source.refresh(x, t)
+            oracle.refresh(x, t)
             t = float(x.max())
-            fx = gain.settle(x, f_step)
+            fx = oracle.settle(x, f_step)
             trace.inner_rounds += 1
             trace.record(t, lam, delta, members.size, fx)
             movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
             if not movable.any():
                 break
-            direction = source.direction(x)
+            direction = oracle.direction(x)
             members = scan(direction)
         lam *= 1.0 - cfg.epsilon
 
@@ -432,12 +422,11 @@ def parallel_greedy(
     """
     _check_dimensions(obj.dimension, polytope)
     trace = SolverTrace()
-    gain = _ExactGain(obj, cfg, trace)
+    oracle = _Exact(obj, cfg, trace)
     x = np.minimum(cfg.alpha * polytope.max_l1_point, 1.0)
-    bounds = opt_bounds(gain, polytope)
-    source = _ExactGradient(obj, trace)
+    bounds = opt_bounds(oracle, polytope)
     return _threshold_sweep(
-        polytope, cfg, trace, source, gain, x, cfg.alpha, gain.value(x), bounds, selection_log
+        polytope, cfg, trace, oracle, x, cfg.alpha, oracle.value(x), bounds, selection_log
     )
 
 
@@ -462,12 +451,11 @@ def stochastic_parallel_greedy(
     """
     _check_dimensions(sobj.dimension, polytope)
     trace = SolverTrace()
-    gain = _EmpiricalGain(sobj, cfg, trace)
+    oracle = _Sampled(sobj, cfg, trace)
     x = np.zeros(polytope.dimension)
-    bounds = opt_bounds(gain, polytope)
-    source = _MomentumGradient(sobj, trace)
+    bounds = opt_bounds(oracle, polytope)
     return _threshold_sweep(
-        polytope, cfg, trace, source, gain, x, 0.0, sobj.ground_truth.value(x), bounds, selection_log
+        polytope, cfg, trace, oracle, x, 0.0, sobj.ground_truth.value(x), bounds, selection_log
     )
 
 
@@ -482,6 +470,7 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
     _check_dimensions(obj.dimension, polytope)
     n = polytope.dimension
     trace = SolverTrace()
+    oracle = _Exact(obj, cfg, trace)
 
     x = np.minimum(cfg.alpha * polytope.max_l1_point, 1.0)
     mass_scale = float(polytope.max_l1_point.sum())
@@ -489,8 +478,7 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
         raise SolverError("max-l1 point has zero mass")
     step = cfg.epsilon / n
 
-    trace.value_queries += 1
-    fx = obj.value(x)
+    fx = oracle.value(x)
     t = float(x.sum()) / mass_scale
     trace.record(t, 0.0, 0.0, 0, fx)
 
@@ -499,9 +487,8 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
         movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
         if not movable.any():
             break
-        trace.gradient_queries += 1
         trace.adaptive_rounds += 1
-        g = obj.gradient(x)
+        g = oracle.direction(x)
         scores = np.where(movable, g, -np.inf)
         best = int(np.argmax(scores))
         if scores[best] <= cfg.value_tol:
@@ -510,8 +497,7 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
         if delta < cfg.delta_tol:
             break
         x = np.minimum(_moved(x, best, delta), 1.0)
-        trace.value_queries += 1
-        fx = obj.value(x)
+        fx = oracle.value(x)
         t = float(x.sum()) / mass_scale
         trace.inner_rounds += 1
         trace.record(t, 0.0, delta, 1, fx)

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import json
 import numpy as np
 import pytest
 
-from ossmax import Instance, make_semimetric_instance, read_instance, write_instance
+from ossmax import Instance, SolverConfig, make_semimetric_instance, read_instance, write_instance
 from ossmax.cli import CSV_HEADER, main
 from ossmax.polytopes import BoxPolytope
 
@@ -118,6 +119,14 @@ class TestSolve:
         rows = read_rows(out)
         assert rows[0]["config"] == rows[1]["config"]
         assert rows[0]["value"] == rows[1]["value"]
+
+    def test_config_defaults_come_from_solver_config(self, tmp_path, linear_box_instance):
+        out = tmp_path / "runs.csv"
+        assert run(["solve", str(linear_box_instance), "--out", str(out)]) == 0
+        claim = read_instance(linear_box_instance).objective.sigma_claimed
+        assert claim != SolverConfig().sigma  # so the echo shows where sigma came from
+        echo = json.loads(read_rows(out)[0]["config"])
+        assert echo == dataclasses.asdict(SolverConfig(sigma=claim))
 
     def test_out_dir_env_var(self, tmp_path, linear_box_instance, monkeypatch):
         monkeypatch.setenv("OSSMAX_OUT_DIR", str(tmp_path / "outputs"))

@@ -1,5 +1,5 @@
-"""Solutions pinned to their first computed figures: the threshold sweep's
-results must not drift.
+"""Solutions pinned to their first computed figures: the results of the
+threshold sweep and of the serial baseline must not drift.
 
 Each case records the solution ``x`` (its most common entry, and the other
 entries by value), the value, the final threshold and fill, the thresholds
@@ -28,6 +28,7 @@ from ossmax import (
     make_coverage_instance,
     parallel_greedy,
     random_semimetric_instance,
+    serial_greedy,
     stochastic_parallel_greedy,
 )
 
@@ -189,3 +190,47 @@ def test_solution_is_pinned(family, kind):
     assert (t.outer_rounds, t.inner_rounds) == (pin.outer, pin.inner)
     assert (t.value_queries, t.gradient_queries) == (pin.value_q, pin.grad_q)
     assert t.adaptive_rounds <= pin.parent_rounds
+
+
+@dataclass(frozen=True)
+class SerialPin:
+    x: Tuple[float, Dict[float, List[int]]]
+    value: float
+    t_final: float
+    steps: int
+    value_q: int
+    grad_q: int
+    rounds: int
+
+
+# the serial baseline on the coverage instance of the parallel pins; its
+# adaptive rounds are one per gradient query and are pinned exactly
+SERIAL_PINS = {
+    "box": SerialPin(
+        x=(0.05, {0.9999999999999989: [2, 3, 5, 7, 11]}),
+        value=13.740575639132237, t_final=0.44583333333333286,
+        steps=570, value_q=571, grad_q=571, rounds=571,
+    ),
+    "cardinality": SerialPin(
+        x=(0.0, {0.05: [0, 1, 2], 0.8499999999999994: [7], 0.9999999999999989: [5, 11]}),
+        value=11.739065726392845, t_final=0.9999999999999991,
+        steps=342, value_q=343, grad_q=342, rounds=342,
+    ),
+    "chain": SerialPin(
+        x=(0.05, {0.9999999999999989: [9, 10, 11]}),
+        value=9.82506352134963, t_final=0.2874999999999997,
+        steps=342, value_q=343, grad_q=343, rounds=343,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(SERIAL_PINS))
+def test_serial_baseline_is_pinned(kind):
+    pin = SERIAL_PINS[kind]
+    obj = make_coverage_instance(12, 16, density=0.3, seed=41)
+    sol = serial_greedy(obj, region(kind, 12), SolverConfig(epsilon=0.1))
+    t = sol.trace
+    np.testing.assert_allclose(sol.x, expand(sol.x.size, pin.x), rtol=RTOL, atol=0.0)
+    assert (sol.value, sol.t_final) == pytest.approx((pin.value, pin.t_final), rel=RTOL)
+    assert (t.outer_rounds, t.inner_rounds, len(t.history)) == (0, pin.steps, pin.steps + 1)
+    assert (t.value_queries, t.gradient_queries, t.adaptive_rounds) == (pin.value_q, pin.grad_q, pin.rounds)

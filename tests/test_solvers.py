@@ -37,7 +37,7 @@ from ossmax import (
     update_gradient_estimate,
 )
 
-from ossmax.solvers import _ExactGain, _lambda_floor, _lattice_candidates, _line_search
+from ossmax.solvers import _Exact, _lambda_floor, _lattice_candidates, _line_search
 
 from helpers import grid_max_brute, iter_grid
 
@@ -87,7 +87,7 @@ def step_size(obj, x, members, lam, cfg, polytope, trace=None):
     the per-step cap at the members' fill clipped by the region's headroom.
     """
     x = np.asarray(x, dtype=float)
-    gain = _ExactGain(obj, cfg, SolverTrace() if trace is None else trace)
+    gain = _Exact(obj, cfg, SolverTrace() if trace is None else trace)
     rate, fx = gain.test(x, gain.value(x), lam, 0.0)
     members = np.asarray(members, dtype=int)
     delta, _ = _line_search(gain.value, fx, x, members, rate, polytope, cfg, trace, gain.quadratic_mu)
@@ -227,6 +227,11 @@ class TestGradientEstimate:
         assert kappa_envelope(0.0, 0.0, 0.0, 0.0, grad_gap_sq=10.0) == pytest.approx(
             50.0 / 9.0 ** (2.0 / 3.0)
         )
+
+    def test_kappa_keeps_a_nan_numerator(self):
+        # L = inf with D = 0 makes L^2 D^2 = inf * 0 = nan; max(0.0, nan) would drop it
+        assert math.isnan(kappa_envelope(0.0, 0.0, math.inf, 0.0))
+        assert math.isnan(kappa_envelope(0.0, 1.0, 1.0, 1.0, grad_gap_sq=math.nan))
 
 
 class TestParallelGreedy:
@@ -585,6 +590,13 @@ class TestStochasticParallelGreedy:
         p = BoxPolytope(3, 1.0)
         cfg = SolverConfig(epsilon=0.1, lipschitz_L=math.inf, diameter_D=1.0)
         with pytest.raises(SolverError):
+            stochastic_parallel_greedy(StochasticObjective(obj, 0.0, seed=1), p, cfg)
+
+    def test_nan_envelope_error(self):
+        obj = make_coverage_instance(3, 4, density=0.5, seed=20)
+        p = BoxPolytope(3, 1.0)
+        cfg = SolverConfig(epsilon=0.1, lipschitz_L=math.inf, diameter_D=0.0)
+        with pytest.raises(SolverError, match="variance envelope is non-finite"):
             stochastic_parallel_greedy(StochasticObjective(obj, 0.0, seed=1), p, cfg)
 
 
