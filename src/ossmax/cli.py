@@ -126,20 +126,11 @@ def _append_rows(path: Path, records) -> None:
             writer.writerow(record.row())
 
 
-def _config_from_args(args, instance: Instance) -> SolverConfig:
-    """The flags the user gave, ``SolverConfig``'s defaults for the rest;
-    ``sigma`` defaults to the instance's claim."""
-    given = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(SolverConfig)
-        if getattr(args, field.name) is not None
-    }
-    given.setdefault("sigma", instance.objective.sigma_claimed)
-    return SolverConfig(**given)
-
-
-def _config_echo(cfg: SolverConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+def _config(given: dict, instance: Instance) -> SolverConfig:
+    """The settings given (flags of ``solve``, a ``bench`` row's config),
+    ``SolverConfig``'s defaults for the rest; ``sigma`` defaults to the
+    instance's claim."""
+    return SolverConfig(**{"sigma": instance.objective.sigma_claimed, **given})
 
 
 def _grid_value(instance: Instance, resolution: Optional[int]) -> Optional[float]:
@@ -173,7 +164,7 @@ def _run_one(
         solver=solver,
         seed=seed,
         dimension=instance.dimension,
-        config=_config_echo(cfg),
+        config=json.dumps(dataclasses.asdict(cfg), sort_keys=True),
     )
     lower, upper = opt_bounds(instance.objective, instance.polytope)
     record.opt_lower, record.opt_upper = lower, upper
@@ -305,7 +296,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = read_instance(args.instance)
-    cfg = _config_from_args(args, instance)
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(SolverConfig)
+        if getattr(args, field.name) is not None
+    }
+    cfg = _config(given, instance)
     try:
         record = _run_one(instance, args.instance, args.solver, cfg, args.seed, args.grid_resolution)
     except SolverError as exc:
@@ -381,7 +377,7 @@ def _cmd_bench(args) -> int:
         resolved = raw_path if raw_path.is_absolute() else suite_dir / raw_path
         try:
             instance = read_instance(resolved)
-            cfg = SolverConfig(**row.get("config", {}))
+            cfg = _config(row.get("config", {}), instance)
             seed = row.get("seed", 0)
             record = _run_one(
                 instance, str(instance_path), solver, cfg, seed, row.get("grid_resolution", 0)

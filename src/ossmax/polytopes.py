@@ -74,7 +74,12 @@ class Polytope:
         return (moved >= -tol) & (moved <= top) & (np.count_nonzero(failing) == failing)
 
     def headroom(self, x, members) -> float:
-        """Largest ``delta`` with ``x + delta * 1_S`` in the region, ``S = members`` (nonempty)."""
+        """Largest ``delta`` with ``x + delta * 1_S`` in the region, ``S = members`` (nonempty).
+
+        Never above ``upper - x`` on ``S``, so from a feasible ``x`` a step of
+        at most the headroom keeps every coordinate in [0, 1], rounding
+        included: the solvers do not clip.
+        """
         return float(np.min(self.upper[members] - np.asarray(x, dtype=float)[members]))
 
     def _lattice_prefixes(self, idx: np.ndarray, levels: np.ndarray, tol: float) -> np.ndarray:
@@ -128,7 +133,15 @@ class CardinalityPolytope(Polytope):
         return X.sum(axis=1) <= self.budget + tol
 
     def movable(self, x, step, tol=DEFAULT_MEMBERSHIP_TOL):
-        return super().movable(x, step, tol) & (float(np.sum(x)) + step <= self.budget + tol)
+        x = np.asarray(x, dtype=float)
+        total, bound = float(np.sum(x)) + step, self.budget + tol
+        # any summation order of the same terms lands within this margin of total
+        margin = 2 * (len(x) + 1) * np.finfo(float).eps * (float(np.abs(x).sum()) + abs(step))
+        if abs(total - bound) > margin:
+            fits = total <= bound
+        else:  # a tie: sum each probe row as contains_many does
+            fits = self._satisfies_many(x + step * np.eye(len(x)), tol)
+        return super().movable(x, step, tol) & fits
 
     def headroom(self, x, members):
         fill = (self.budget - float(np.sum(x))) / len(members)

@@ -150,15 +150,10 @@ def _moved(x: Vector, members: np.ndarray, delta: float) -> Vector:
     return y
 
 
-def _step_cap(cfg: SolverConfig, dimension: int, fill: float, quadratic_mu: bool = False) -> float:
-    """Per-step cap: min(1/(n*eta), 1/(mu^p (1-eps)), headroom to the unit box)."""
-    mu = cfg.mu
-    terms = [1.0 - fill]
-    if cfg.eta > 0.0:
-        terms.append(1.0 / (dimension * cfg.eta))
-    power = 2.0 if quadratic_mu else 1.0
-    terms.append(1.0 / (mu**power * (1.0 - cfg.epsilon)))
-    return min(terms)
+def _step_bound(cfg: SolverConfig, dimension: int, power: float) -> float:
+    """An oracle's constant step bound: ``min(1/(n*eta) if eta > 0, 1/(mu^power (1-eps)))``."""
+    bound = 1.0 / (cfg.mu**power * (1.0 - cfg.epsilon))
+    return min(bound, 1.0 / (dimension * cfg.eta)) if cfg.eta > 0.0 else bound
 
 
 def _line_search(
@@ -167,68 +162,63 @@ def _line_search(
     x: Vector,
     members: np.ndarray,
     rate: float,
+    bound: float,
     polytope: Polytope,
     cfg: SolverConfig,
     trace: Optional[SolverTrace],
-    quadratic_mu: bool = False,
 ) -> Tuple[float, Optional[float]]:
     """Largest step in [delta_tol, cap] for ``x[members]`` whose gain beats ``rate * delta``.
 
-    The cap is the smaller of :func:`_step_cap` at the members' fill and the
-    region's headroom for the group.  Probes the cap first (so flat gain
-    tests return the cap exactly), then doubles from delta_tol and bisects
-    to delta_tol resolution.  Returns (step, value there), or (0, None) when
-    the group is empty, the cap is below delta_tol, or even delta_tol fails,
-    signalling a stale set.  All probes of one search are batchable, so the
-    search counts one adaptive round.
+    The cap is the oracle's constant step ``bound`` or the region's
+    headroom for the group, whichever is smaller; the headroom keeps every
+    step inside the box.  Probes the cap first (so flat gain tests return
+    the cap exactly), then doubles from delta_tol and bisects to delta_tol
+    resolution.  Returns (step, value there), or (0, None) when the group is
+    empty, the cap is below delta_tol, or even delta_tol fails, signalling a
+    stale set.  All probes of one search are batchable, so a search that
+    probes counts one adaptive round.
     """
     if members.size == 0:
         return 0.0, None
-    fill = float(x[members].max())
-    cap = min(_step_cap(cfg, len(x), fill, quadratic_mu), polytope.headroom(x, members))
+    cap = min(bound, polytope.headroom(x, members))
     if cap < cfg.delta_tol:
         return 0.0, None
+    if trace is not None:
+        trace.adaptive_rounds += 1
 
     slack = cfg.value_tol * (1.0 + abs(fx))
-    probes = 0
 
     def probe(delta: float) -> float:
-        nonlocal probes
-        probes += 1
         return evaluate(_moved(x, members, delta))
 
     def passes(delta: float, f_at: float) -> bool:
         return f_at - fx >= rate * delta - slack
 
-    try:
-        f_cap = probe(cap)
-        if passes(cap, f_cap):
-            return cap, f_cap
-        f_lo = probe(cfg.delta_tol)
-        if not passes(cfg.delta_tol, f_lo):
-            return 0.0, None
-        lo, f_best = cfg.delta_tol, f_lo
-        hi = cap
-        d = cfg.delta_tol
-        while 2.0 * d < hi:
-            d = 2.0 * d
-            f_d = probe(d)
-            if passes(d, f_d):
-                lo, f_best = d, f_d
-            else:
-                hi = d
-                break
-        while hi - lo > cfg.delta_tol:
-            mid = 0.5 * (lo + hi)
-            f_mid = probe(mid)
-            if passes(mid, f_mid):
-                lo, f_best = mid, f_mid
-            else:
-                hi = mid
-        return lo, f_best
-    finally:
-        if trace is not None and probes > 0:
-            trace.adaptive_rounds += 1
+    f_cap = probe(cap)
+    if passes(cap, f_cap):
+        return cap, f_cap
+    f_lo = probe(cfg.delta_tol)
+    if not passes(cfg.delta_tol, f_lo):
+        return 0.0, None
+    lo, f_best = cfg.delta_tol, f_lo
+    hi = cap
+    d = cfg.delta_tol
+    while 2.0 * d < hi:
+        d = 2.0 * d
+        f_d = probe(d)
+        if passes(d, f_d):
+            lo, f_best = d, f_d
+        else:
+            hi = d
+            break
+    while hi - lo > cfg.delta_tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = probe(mid)
+        if passes(mid, f_mid):
+            lo, f_best = mid, f_mid
+        else:
+            hi = mid
+    return lo, f_best
 
 
 class _Exact:
@@ -236,13 +226,13 @@ class _Exact:
 
     Directions are the exact gradient at each new point; the gain test is
     ``mu (1-eps)^2 lam`` on exact values, and the search's value at the
-    accepted step becomes the current value.
+    accepted step becomes the current value.  Steps are bounded by
+    ``min(1/(n*eta), 1/(mu (1-eps)))``.
     """
-
-    quadratic_mu = False
 
     def __init__(self, obj: OssObjective, cfg: SolverConfig, trace: SolverTrace):
         self.obj, self.cfg, self.trace = obj, cfg, trace
+        self.step_bound = _step_bound(cfg, obj.dimension, 1.0)
 
     def value(self, point) -> float:
         self.trace.value_queries += 1
@@ -272,13 +262,13 @@ class _Sampled:
     variance envelope from the configured constants, and each search starts
     from a fresh empirical mean of ``spg_batch`` samples at ``x``.  Reported
     values read the wrapped ground truth for monitoring; the solver's
-    decisions never touch it.
+    decisions never touch it.  Steps are bounded by
+    ``min(1/(n*eta), 1/(mu^2 (1-eps)))``.
     """
-
-    quadratic_mu = True
 
     def __init__(self, sobj: StochasticObjective, cfg: SolverConfig, trace: SolverTrace):
         self.sobj, self.cfg, self.trace = sobj, cfg, trace
+        self.step_bound = _step_bound(cfg, sobj.dimension, 2.0)
         if not math.isfinite(kappa_envelope(0.0, cfg.noise_theta, cfg.lipschitz_L, cfg.diameter_D)):
             raise SolverError("variance envelope is non-finite; check L, D, theta")
         self.estimate = initial_gradient_estimate(sobj.dimension)
@@ -384,11 +374,11 @@ def _threshold_sweep(
         while members.size:
             rate, f_base = oracle.test(x, fx, lam, t)
             delta, f_step = _line_search(
-                oracle.value, f_base, x, members, rate, polytope, cfg, trace, oracle.quadratic_mu
+                oracle.value, f_base, x, members, rate, oracle.step_bound, polytope, cfg, trace
             )
             if delta <= 0.0:
                 break  # stale set at this threshold
-            x = np.minimum(_moved(x, members, delta), 1.0)
+            x = _moved(x, members, delta)
             oracle.refresh(x, t)
             t = float(x.max())
             fx = oracle.settle(x, f_step)
@@ -423,7 +413,7 @@ def parallel_greedy(
     _check_dimensions(obj.dimension, polytope)
     trace = SolverTrace()
     oracle = _Exact(obj, cfg, trace)
-    x = np.minimum(cfg.alpha * polytope.max_l1_point, 1.0)
+    x = cfg.alpha * polytope.max_l1_point
     bounds = opt_bounds(oracle, polytope)
     return _threshold_sweep(
         polytope, cfg, trace, oracle, x, cfg.alpha, oracle.value(x), bounds, selection_log
@@ -472,7 +462,7 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
     trace = SolverTrace()
     oracle = _Exact(obj, cfg, trace)
 
-    x = np.minimum(cfg.alpha * polytope.max_l1_point, 1.0)
+    x = cfg.alpha * polytope.max_l1_point
     mass_scale = float(polytope.max_l1_point.sum())
     if mass_scale <= 0.0:
         raise SolverError("max-l1 point has zero mass")
@@ -496,7 +486,7 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
         delta = min(step, polytope.headroom(x, [best]))
         if delta < cfg.delta_tol:
             break
-        x = np.minimum(_moved(x, best, delta), 1.0)
+        x = _moved(x, best, delta)
         fx = oracle.value(x)
         t = float(x.sum()) / mass_scale
         trace.inner_rounds += 1

@@ -196,6 +196,21 @@ class TestBench:
         assert rows[2]["error"] == ""
         assert (out_dir / "summary.txt").exists()
 
+    def test_row_sigma_defaults_to_the_instance_claim_as_in_solve(self, tmp_path):
+        path = tmp_path / "quad.json"
+        assert run(["generate", "--kind", "quadratic-semimetric", "--n", "3", "--seed", "2",
+                    "--out", str(path)]) == 0
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"rows": [{"instance": str(path), "config": {}}]}))
+        out_dir = tmp_path / "bench"
+        assert run(["bench", str(suite), "--out-dir", str(out_dir)]) == 0
+        assert run(["solve", str(path), "--out", str(tmp_path / "solve.csv")]) == 0
+        bench_row, = read_rows(out_dir / "runs.csv")
+        solve_row, = read_rows(tmp_path / "solve.csv")
+        assert bench_row["error"] == ""
+        assert '"sigma": 1.0' in bench_row["config"]
+        assert bench_row["config"] == solve_row["config"]
+
 
 class TestUsageErrors:
     def test_unknown_solver_flag_value(self, tmp_path, linear_box_instance, capsys):

@@ -134,6 +134,31 @@ class TestClosedForms:
         assert p.contains(x + room * group)
         assert not p.contains(x + (room + 1e-7) * group)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_steps_within_headroom_stay_in_the_unit_box(self, data):
+        # the solvers move x[S] by min(bound, headroom) and scale the max-l1
+        # point by alpha with no clip to 1: rounding must never leave the box
+        p = data.draw(regions())
+        n = p.dimension
+        x = feasible_point(p, data.draw(st.lists(coordinates, min_size=n, max_size=n)))
+        members = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        bound = data.draw(st.one_of(st.sampled_from([1e-6, 1.0, 1.0 / 0.9]), st.floats(1e-9, 10.0)))
+        y = x.copy()
+        y[members] += min(bound, p.headroom(x, members))
+        assert y.max() <= 1.0
+        alpha = data.draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)))
+        assert (alpha * p.max_l1_point).max() <= 1.0
+
+    def test_movable_breaks_a_summation_tie_as_membership_does(self):
+        # sum(x) + step is 1.000001, the probe row 0.25 + (0.75 + 1e-6) one ulp above
+        p = CardinalityPolytope(2, 1.0)
+        x = np.array([0.25, 0.75])
+        step = tol = 1e-6
+        probes = x[None, :] + step * np.eye(2)
+        assert np.array_equal(p.movable(x, step, tol), p.contains_many(probes, tol))
+        assert np.array_equal(p.movable(x, step, tol), [True, False])
+
 
 class TestOptBounds:
     def test_linear_box(self):

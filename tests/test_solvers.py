@@ -84,13 +84,13 @@ def step_size(obj, x, members, lam, cfg, polytope, trace=None):
     """The step the deterministic sweep accepts for ``members`` at threshold ``lam``.
 
     Evaluates ``x`` once, then runs the sweep's step search, whose cap is
-    the per-step cap at the members' fill clipped by the region's headroom.
+    the oracle's step bound clipped by the region's headroom.
     """
     x = np.asarray(x, dtype=float)
     gain = _Exact(obj, cfg, SolverTrace() if trace is None else trace)
     rate, fx = gain.test(x, gain.value(x), lam, 0.0)
     members = np.asarray(members, dtype=int)
-    delta, _ = _line_search(gain.value, fx, x, members, rate, polytope, cfg, trace, gain.quadratic_mu)
+    delta, _ = _line_search(gain.value, fx, x, members, rate, gain.step_bound, polytope, cfg, trace)
     return delta
 
 
