@@ -197,8 +197,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="threshold decay in (0, 1)")
     parser.add_argument("--eta", type=float, default=None, help="locality parameter (step cap)")
     parser.add_argument("--sigma", type=float, default=None, help="smoothness parameter (defaults to the instance claim)")
-    parser.add_argument("--delta-tol", type=float, default=None, dest="delta_tol", help="step search resolution")
-    parser.add_argument("--value-tol", type=float, default=None, dest="value_tol", help="relative numeric tolerance")
     parser.add_argument("--max-outer-rounds", type=int, default=None, dest="max_outer_rounds", help="outer loop safety cap")
     parser.add_argument("--batch", type=int, default=None, dest="spg_batch", help="samples per empirical mean (spg)")
     parser.add_argument("--theta", type=float, default=None, dest="noise_theta", help="gradient noise scale (spg)")

@@ -13,6 +13,10 @@ Vector = NDArray[np.float64]
 
 # epsilon floor used when deriving the default outer-round safety cap
 EPSILON_FLOOR = 1e-6
+# resolution of the step-size search: the shortest step a solver takes
+STEP_TOL = 1e-6
+# relative slack of value comparisons: gain tests, cutoffs, property checks
+VALUE_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -65,14 +69,13 @@ class SolverConfig:
     ``eta`` the locality parameter entering the step cap, and ``sigma`` the
     smoothness parameter entering the contraction factor.  ``lipschitz_L``,
     ``diameter_D`` and ``noise_theta`` only matter for the stochastic solver.
+    The numeric tolerances are fixed: ``STEP_TOL`` and ``VALUE_TOL``.
     """
 
     alpha: float = 0.05
     epsilon: float = 0.1
     eta: float = 0.0
     sigma: float = 0.0
-    delta_tol: float = 1e-6
-    value_tol: float = 1e-9
     max_outer_rounds: Optional[int] = None
     spg_batch: int = 64
     lipschitz_L: float = 0.0
@@ -85,10 +88,6 @@ class SolverConfig:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.eta < 0.0:
             raise ConfigError(f"eta must be nonnegative, got {self.eta}")
-        if self.delta_tol <= 0.0:
-            raise ConfigError(f"delta_tol must be positive, got {self.delta_tol}")
-        if self.value_tol <= 0.0:
-            raise ConfigError(f"value_tol must be positive, got {self.value_tol}")
         if self.spg_batch < 1:
             raise ConfigError(f"spg_batch must be a positive integer, got {self.spg_batch}")
         for name in ("lipschitz_L", "diameter_D", "noise_theta"):

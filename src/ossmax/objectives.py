@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SolverError, Vector, check_finite
+from .core import VALUE_TOL, SolverError, Vector, check_finite
 
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
 DRAW_BLOCK = 1 << 20  # uniform draws per block of rows in make_coverage_instance
@@ -515,23 +515,20 @@ def random_semimetric_instance(
 class StochasticObjective:
     """Noisy sample access ``f(x, y)`` to a hidden objective ``F``.
 
-    Wraps a deterministic ground-truth oracle.  Gradient samples are
-    ``grad F(x)`` plus zero-mean per-coordinate noise with total variance
-    ``theta**2``; value samples add zero-mean scalar noise of variance
-    ``theta**2``.  The default noise is uniform, whose bounded support keeps
-    the variance bound literal; Gaussian noise is available for contrast.
-    Counters tally gradient samples and empirical-value batches so solver
-    accounting can be audited.
+    Wraps a deterministic ground-truth oracle.  The noise is uniform and
+    bounded: a gradient sample is ``grad F(x)`` plus independent noise of
+    half-width ``theta * sqrt(3/n)`` on each coordinate (total variance
+    ``theta**2``), and a value sample adds noise of half-width
+    ``theta * sqrt(3)`` (variance ``theta**2``), so an empirical mean is
+    within ``theta * sqrt(3)`` of ``F(x)``.  Counters tally gradient samples
+    and empirical-value batches so solver accounting can be audited.
     """
 
-    def __init__(self, ground_truth: OssObjective, theta: float, seed=None, noise: str = "uniform"):
+    def __init__(self, ground_truth: OssObjective, theta: float, seed=None):
         if theta < 0.0:
             raise ValueError("theta must be nonnegative")
-        if noise not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown noise model {noise!r}")
         self.ground_truth = ground_truth
         self.theta = float(theta)
-        self.noise = noise
         self._seed_seq = np.random.SeedSequence(seed)
         self._rng = np.random.default_rng(self._seed_seq)
         self._gradient_samples = _CallCounter()
@@ -555,7 +552,7 @@ class StochasticObjective:
 
     def spawn(self) -> "StochasticObjective":
         """Independent stream over the same ground truth, for concurrent callers."""
-        child = StochasticObjective(self.ground_truth, self.theta, noise=self.noise)
+        child = StochasticObjective(self.ground_truth, self.theta)
         child._seed_seq = self._seed_seq.spawn(1)[0]
         child._rng = np.random.default_rng(child._seed_seq)
         return child
@@ -563,10 +560,8 @@ class StochasticObjective:
     def _gradient_noise(self, n: int) -> np.ndarray:
         if self.theta == 0.0:
             return np.zeros(n)
-        if self.noise == "uniform":
-            half_width = self.theta * math.sqrt(3.0 / n)
-            return self._rng.uniform(-half_width, half_width, size=n)
-        return self._rng.normal(0.0, self.theta / math.sqrt(n), size=n)
+        half_width = self.theta * math.sqrt(3.0 / n)
+        return self._rng.uniform(-half_width, half_width, size=n)
 
     def sample_gradient(self, x) -> Vector:
         """One noisy gradient sample; counts one gradient query."""
@@ -582,10 +577,7 @@ class StochasticObjective:
         base = self.ground_truth.value(x)
         if self.theta == 0.0:
             return base
-        if self.noise == "uniform":
-            draws = self._rng.uniform(-self.theta * math.sqrt(3.0), self.theta * math.sqrt(3.0), size=n_samples)
-        else:
-            draws = self._rng.normal(0.0, self.theta, size=n_samples)
+        draws = self._rng.uniform(-self.theta * math.sqrt(3.0), self.theta * math.sqrt(3.0), size=n_samples)
         return base + float(draws.mean())
 
 
@@ -609,7 +601,6 @@ def verify_oss(
     sigma: float,
     trials: int = 1000,
     seed: Optional[int] = None,
-    value_tol: float = 1e-9,
 ) -> VerificationReport:
     """Sampled check of the one-sided smoothness inequality.
 
@@ -638,7 +629,7 @@ def verify_oss(
         if violation > worst:
             worst = violation
             witness = (x.copy(), u.copy())
-        if lhs > rhs + value_tol * (1.0 + abs(rhs)):
+        if lhs > rhs + VALUE_TOL * (1.0 + abs(rhs)):
             passed = False
     return VerificationReport(passed, worst, witness, trials, checked=f"one-sided {sigma:g}-smooth")
 
@@ -648,7 +639,6 @@ def verify_eta_local(
     eta: float,
     trials: int = 1000,
     seed: Optional[int] = None,
-    value_tol: float = 1e-9,
 ) -> VerificationReport:
     """Sampled check of gradient locality along feasible rays.
 
@@ -682,7 +672,7 @@ def verify_eta_local(
         if violation > worst:
             worst = violation
             witness = (x.copy(), u.copy(), eps)
-        if lhs < rhs - value_tol * (1.0 + abs(rhs)):
+        if lhs < rhs - VALUE_TOL * (1.0 + abs(rhs)):
             passed = False
     return VerificationReport(passed, worst, witness, trials, checked=f"{eta:g}-local gradient")
 

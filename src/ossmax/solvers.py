@@ -29,6 +29,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import (
+    STEP_TOL,
+    VALUE_TOL,
     RoundLimitError,
     Solution,
     SolverConfig,
@@ -116,7 +118,7 @@ def kappa_envelope(
 
 def _cutoff(lam: float, cfg: SolverConfig) -> float:
     """The selection cutoff ``(1-eps) * mu * lam``, less the value tolerance."""
-    return (1.0 - cfg.epsilon) * cfg.mu * lam - cfg.value_tol
+    return (1.0 - cfg.epsilon) * cfg.mu * lam - VALUE_TOL
 
 
 def select_directions(
@@ -164,29 +166,28 @@ def _line_search(
     rate: float,
     bound: float,
     polytope: Polytope,
-    cfg: SolverConfig,
     trace: Optional[SolverTrace],
 ) -> Tuple[float, Optional[float]]:
-    """Largest step in [delta_tol, cap] for ``x[members]`` whose gain beats ``rate * delta``.
+    """Largest step in [STEP_TOL, cap] for ``x[members]`` whose gain beats ``rate * delta``.
 
     The cap is the oracle's constant step ``bound`` or the region's
     headroom for the group, whichever is smaller; the headroom keeps every
     step inside the box.  Probes the cap first (so flat gain tests return
-    the cap exactly), then doubles from delta_tol and bisects to delta_tol
+    the cap exactly), then doubles from STEP_TOL and bisects to STEP_TOL
     resolution.  Returns (step, value there), or (0, None) when the group is
-    empty, the cap is below delta_tol, or even delta_tol fails, signalling a
+    empty, the cap is below STEP_TOL, or even STEP_TOL fails, signalling a
     stale set.  All probes of one search are batchable, so a search that
     probes counts one adaptive round.
     """
     if members.size == 0:
         return 0.0, None
     cap = min(bound, polytope.headroom(x, members))
-    if cap < cfg.delta_tol:
+    if cap < STEP_TOL:
         return 0.0, None
     if trace is not None:
         trace.adaptive_rounds += 1
 
-    slack = cfg.value_tol * (1.0 + abs(fx))
+    slack = VALUE_TOL * (1.0 + abs(fx))
 
     def probe(delta: float) -> float:
         return evaluate(_moved(x, members, delta))
@@ -197,12 +198,12 @@ def _line_search(
     f_cap = probe(cap)
     if passes(cap, f_cap):
         return cap, f_cap
-    f_lo = probe(cfg.delta_tol)
-    if not passes(cfg.delta_tol, f_lo):
+    f_lo = probe(STEP_TOL)
+    if not passes(STEP_TOL, f_lo):
         return 0.0, None
-    lo, f_best = cfg.delta_tol, f_lo
+    lo, f_best = STEP_TOL, f_lo
     hi = cap
-    d = cfg.delta_tol
+    d = STEP_TOL
     while 2.0 * d < hi:
         d = 2.0 * d
         f_d = probe(d)
@@ -211,7 +212,7 @@ def _line_search(
         else:
             hi = d
             break
-    while hi - lo > cfg.delta_tol:
+    while hi - lo > STEP_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = probe(mid)
         if passes(mid, f_mid):
@@ -224,10 +225,10 @@ def _line_search(
 class _Exact:
     """Exact oracle access, for the deterministic solver and the serial baseline.
 
-    Directions are the exact gradient at each new point; the gain test is
-    ``mu (1-eps)^2 lam`` on exact values, and the search's value at the
-    accepted step becomes the current value.  Steps are bounded by
-    ``min(1/(n*eta), 1/(mu (1-eps)))``.
+    A direction is the exact gradient at ``x`` (the clock is unused) and
+    counts one gradient query; the gain test is ``mu (1-eps)^2 lam`` on
+    exact values, and the search's value at the accepted step becomes the
+    current value.  Steps are bounded by ``min(1/(n*eta), 1/(mu (1-eps)))``.
     """
 
     def __init__(self, obj: OssObjective, cfg: SolverConfig, trace: SolverTrace):
@@ -238,10 +239,7 @@ class _Exact:
         self.trace.value_queries += 1
         return self.obj.value(point)
 
-    def refresh(self, x: Vector, clock: float) -> None:
-        pass
-
-    def direction(self, x: Vector) -> Vector:
+    def direction(self, x: Vector, clock: float) -> Vector:
         self.trace.gradient_queries += 1
         return self.obj.gradient(x)
 
@@ -256,14 +254,14 @@ class _Exact:
 class _Sampled:
     """Sample access, for the stochastic solver.
 
-    Directions are a momentum-averaged estimate; each refresh folds in one
-    noisy sample and counts one gradient query and one adaptive round.  The
-    gain test is widened by ``sqrt(kappa) * n / mu``, with ``kappa`` the
-    variance envelope from the configured constants, and each search starts
-    from a fresh empirical mean of ``spg_batch`` samples at ``x``.  Reported
-    values read the wrapped ground truth for monitoring; the solver's
-    decisions never touch it.  Steps are bounded by
-    ``min(1/(n*eta), 1/(mu^2 (1-eps)))``.
+    Each direction asked for folds one noisy sample at ``x`` into the
+    momentum-averaged estimate, weighted by ``clock``, and counts one
+    gradient query and one adaptive round.  The gain test is widened by
+    ``sqrt(kappa) * n / mu``, with ``kappa`` the variance envelope from the
+    configured constants, and each search starts from a fresh empirical
+    mean of ``spg_batch`` samples at ``x``.  Reported values read the
+    wrapped ground truth for monitoring; the solver's decisions never touch
+    it.  Steps are bounded by ``min(1/(n*eta), 1/(mu^2 (1-eps)))``.
     """
 
     def __init__(self, sobj: StochasticObjective, cfg: SolverConfig, trace: SolverTrace):
@@ -280,13 +278,11 @@ class _Sampled:
             raise SolverError("empirical value is non-finite")
         return v
 
-    def refresh(self, x: Vector, clock: float) -> None:
+    def direction(self, x: Vector, clock: float) -> Vector:
         self.trace.gradient_queries += 1
         self.trace.adaptive_rounds += 1
         sample = check_finite(self.sobj.sample_gradient(x), "stochastic gradient sample")
         self.estimate = update_gradient_estimate(self.estimate, sample, clock)
-
-    def direction(self, x: Vector) -> Vector:
         return self.estimate.d
 
     def test(self, x: Vector, fx: float, lam: float, t: float) -> Tuple[float, float]:
@@ -330,15 +326,16 @@ def _threshold_sweep(
     ``outer_rounds`` counts the threshold levels visited, skipped ones
     included; RoundLimitError is raised once it exceeds the safety cap.
 
-    ``oracle`` is refreshed at the start point and after every accepted step,
-    with the clock from before the step.  ``selection_log``, when given,
-    collects ``(lam, direction, candidates, members)`` tuples for selection
-    replay, one per scan that selected something.
+    The ``oracle`` is asked for a direction at the start point and after
+    every accepted step, with the clock from before the step, but only when
+    some coordinate can move.  ``selection_log``, when given, collects
+    ``(lam, direction, candidates, members)`` tuples for selection replay,
+    one per scan that selected something.
     """
     lower, upper = bounds
     lam = upper
     trace.record(t, lam, 0.0, 0, fx)
-    if upper <= cfg.value_tol:
+    if upper <= VALUE_TOL:
         # objective is flat at the top of the box; nothing to gain
         return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
 
@@ -364,9 +361,9 @@ def _threshold_sweep(
         return members
 
     floor = _lambda_floor(cfg.mu, lower, upper, polytope)
-    oracle.refresh(x, t)
-    movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
-    direction = oracle.direction(x)
+    movable = polytope.movable(x, STEP_TOL)
+    if movable.any():
+        direction = oracle.direction(x, t)
 
     while lam >= floor and movable.any():
         enter_level()
@@ -374,20 +371,19 @@ def _threshold_sweep(
         while members.size:
             rate, f_base = oracle.test(x, fx, lam, t)
             delta, f_step = _line_search(
-                oracle.value, f_base, x, members, rate, oracle.step_bound, polytope, cfg, trace
+                oracle.value, f_base, x, members, rate, oracle.step_bound, polytope, trace
             )
             if delta <= 0.0:
                 break  # stale set at this threshold
             x = _moved(x, members, delta)
-            oracle.refresh(x, t)
-            t = float(x.max())
+            clock, t = t, float(x.max())
             fx = oracle.settle(x, f_step)
             trace.inner_rounds += 1
             trace.record(t, lam, delta, members.size, fx)
-            movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
+            movable = polytope.movable(x, STEP_TOL)
             if not movable.any():
                 break
-            direction = oracle.direction(x)
+            direction = oracle.direction(x, clock)
             members = scan(direction)
         lam *= 1.0 - cfg.epsilon
 
@@ -429,12 +425,13 @@ def stochastic_parallel_greedy(
     """Threshold greedy under sample access to values and gradients.
 
     Starts from zero with a zero gradient estimate and runs the threshold
-    sweep on the momentum estimate, which is refreshed with one sample
-    before the first selection (a zero estimate selects nothing) and after
-    every accepted step.  The per-step gain requirement is widened by
-    ``sqrt(kappa) * n / mu``, where ``kappa`` is the variance envelope from
-    the configured constants, and objective values in the gain test and the
-    optimum bracket are empirical means of ``spg_batch`` fresh samples.
+    sweep on the momentum estimate, which folds in one sample before the
+    first selection (a zero estimate selects nothing) and after every
+    accepted step that leaves some coordinate movable.  The per-step gain
+    requirement is widened by ``sqrt(kappa) * n / mu``, where ``kappa`` is
+    the variance envelope from the configured constants, and objective
+    values in the gain test and the optimum bracket are empirical means of
+    ``spg_batch`` fresh samples.
 
     Reported values and history snapshots read the wrapped ground truth for
     monitoring; the solver's decisions never touch it.
@@ -474,17 +471,17 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
 
     step_limit = 4 * math.ceil(n * mass_scale / step) + 16 * n
     for _ in range(step_limit):
-        movable = polytope.movable(x, cfg.delta_tol, cfg.value_tol)
+        movable = polytope.movable(x, STEP_TOL)
         if not movable.any():
             break
         trace.adaptive_rounds += 1
-        g = oracle.direction(x)
+        g = oracle.direction(x, t)
         scores = np.where(movable, g, -np.inf)
         best = int(np.argmax(scores))
-        if scores[best] <= cfg.value_tol:
+        if scores[best] <= VALUE_TOL:
             break  # no ascent direction left
         delta = min(step, polytope.headroom(x, [best]))
-        if delta < cfg.delta_tol:
+        if delta < STEP_TOL:
             break
         x = _moved(x, best, delta)
         fx = oracle.value(x)

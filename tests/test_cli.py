@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from ossmax import Instance, SolverConfig, make_semimetric_instance, read_instance, write_instance
-from ossmax.cli import CSV_HEADER, main
+from ossmax.cli import CSV_HEADER, _build_parser, main
 from ossmax.polytopes import BoxPolytope
 
 
@@ -127,6 +128,14 @@ class TestSolve:
         assert claim != SolverConfig().sigma  # so the echo shows where sigma came from
         echo = json.loads(read_rows(out)[0]["config"])
         assert echo == dataclasses.asdict(SolverConfig(sigma=claim))
+
+    def test_config_flags_match_solver_config_fields(self):
+        # one flag per field, each stored under the field's name
+        subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        solve = subparsers.choices["solve"]
+        other = {"help", "instance", "solver", "grid_resolution", "out", "seed"}
+        dests = [action.dest for action in solve._actions if action.dest not in other]
+        assert sorted(dests) == sorted(field.name for field in dataclasses.fields(SolverConfig))
 
     def test_out_dir_env_var(self, tmp_path, linear_box_instance, monkeypatch):
         monkeypatch.setenv("OSSMAX_OUT_DIR", str(tmp_path / "outputs"))

@@ -94,8 +94,6 @@ class TestSolverConfig:
             {"epsilon": 1.0},
             {"eta": -1.0},
             {"sigma": -0.5},
-            {"delta_tol": 0.0},
-            {"value_tol": -1e-9},
             {"spg_batch": 0},
             {"lipschitz_L": -1.0},
             {"diameter_D": -0.1},

@@ -699,17 +699,32 @@ class TestStochasticObjective:
         child_b = parent.spawn()
         assert not np.allclose(child_a.sample_gradient(x), child_b.sample_gradient(x))
 
-    def test_gaussian_noise_model(self):
-        obj = make_coverage_instance(3, 4, seed=52)
-        sobj = StochasticObjective(obj, theta=0.5, seed=11, noise="gaussian")
-        x = np.full(3, 0.2)
-        g = obj.gradient(x)
-        samples = np.stack([sobj.sample_gradient(x) for _ in range(4000)])
-        assert np.allclose(samples.mean(axis=0), g, atol=0.05)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.floats(0.0, 10.0),
+        n=st.integers(1, 40),
+        batch=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_noise_is_bounded(self, theta, n, batch, seed, data):
+        # uniform noise: an empirical value is within theta * sqrt(3) of F(x),
+        # and a gradient sample within theta * sqrt(3/n) of grad F(x) in every
+        # coordinate, up to the rounding of adding the noise to the truth
+        x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        obj = make_coverage_instance(n, n + 2, density=0.4, seed=seed)
+        sobj = StochasticObjective(obj, theta, seed=seed)
+        f, g = obj.value(x), obj.gradient(x)
+
+        def slack(bound, truth):
+            return bound * (1.0 + 1e-12) + 4.0 * np.spacing(np.abs(truth) + bound)
+
+        value_bound, gradient_bound = theta * math.sqrt(3.0), theta * math.sqrt(3.0 / n)
+        for _ in range(3):
+            assert abs(sobj.empirical_value(x, batch) - f) <= slack(value_bound, f)
+            assert np.all(np.abs(sobj.sample_gradient(x) - g) <= slack(gradient_bound, g))
 
     def test_validation(self):
         obj = make_coverage_instance(3, 4, seed=52)
         with pytest.raises(ValueError):
             StochasticObjective(obj, theta=-0.1)
-        with pytest.raises(ValueError):
-            StochasticObjective(obj, theta=0.1, noise="cauchy")

@@ -118,7 +118,7 @@ PINS = {
     ("stochastic", "cardinality"): Pin(
         x=(0.0, {0.74999975: [1, 5, 9], 0.75000075: [7]}),
         value=11.538882132886583, lambda_final=4.352391637943166, t_final=0.75000075,
-        outer=12, inner=2, value_q=11, grad_q=3, parent_rounds=19,
+        outer=12, inner=2, value_q=11, grad_q=2, parent_rounds=19,
         lams=[15.410539889605227, 4.835990708825739, 4.835990708825739],
     ),
     ("coverage", "chain"): Pin(

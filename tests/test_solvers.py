@@ -37,6 +37,7 @@ from ossmax import (
     update_gradient_estimate,
 )
 
+from ossmax.core import STEP_TOL, VALUE_TOL
 from ossmax.solvers import _Exact, _lambda_floor, _lattice_candidates, _line_search
 
 from helpers import grid_max_brute, iter_grid
@@ -90,7 +91,7 @@ def step_size(obj, x, members, lam, cfg, polytope, trace=None):
     gain = _Exact(obj, cfg, SolverTrace() if trace is None else trace)
     rate, fx = gain.test(x, gain.value(x), lam, 0.0)
     members = np.asarray(members, dtype=int)
-    delta, _ = _line_search(gain.value, fx, x, members, rate, gain.step_bound, polytope, cfg, trace)
+    delta, _ = _line_search(gain.value, fx, x, members, rate, gain.step_bound, polytope, trace)
     return delta
 
 
@@ -156,13 +157,13 @@ class TestChooseStepSize:
         boundary = 0.5 * (lo + hi)
 
         delta = step_size(obj, np.zeros(1), [0], lam=lam, cfg=cfg, polytope=p)
-        assert cfg.delta_tol < delta < 1.0
-        assert delta == pytest.approx(boundary, abs=4 * cfg.delta_tol)
+        assert STEP_TOL < delta < 1.0
+        assert delta == pytest.approx(boundary, abs=4 * STEP_TOL)
         assert residual(delta / 2.0) > 0.0
         assert residual(2.0 * delta) < 0.0
 
     def test_stale_set_returns_zero(self):
-        # gain test unsatisfiable even at delta_tol when lambda is huge
+        # gain test unsatisfiable even at STEP_TOL when lambda is huge
         obj = linear_objective(2)
         cfg = SolverConfig(epsilon=0.1)
         p = BoxPolytope(2, 1.0)
@@ -306,7 +307,7 @@ class TestParallelGreedy:
         log = []
         parallel_greedy(obj, p, cfg, selection_log=log)
         assert log
-        cutoff_slack = cfg.value_tol
+        cutoff_slack = VALUE_TOL
         for lam, g, candidates, members in log:
             cutoff = (1.0 - cfg.epsilon) * cfg.mu * lam
             chosen = set(members.tolist())
@@ -355,6 +356,16 @@ class TestParallelGreedy:
         lower, upper = opt_bounds(obj, p)
         assert abs(sol.x.sum() - p.budget) <= 1e-9
         assert sol.lambda_final > _lambda_floor(cfg.mu, lower, upper, p)
+
+    def test_full_jump_start_asks_for_no_gradient(self):
+        # alpha = 1 starts at the box's corner, where no coordinate can move
+        obj = make_coverage_instance(4, 6, density=0.5, seed=13)
+        p = BoxPolytope(4, [0.3, 0.5, 0.7, 1.0])
+        g0 = obj.gradient_calls
+        sol = parallel_greedy(obj, p, SolverConfig(alpha=1.0, epsilon=0.1))
+        assert np.array_equal(sol.x, p.max_l1_point)
+        assert sol.trace.gradient_queries == obj.gradient_calls - g0 == 0
+        assert sol.trace.outer_rounds == sol.trace.adaptive_rounds == 0
 
     def test_flat_objective_returns_start(self):
         obj = CoverageMultilinearObjective([0.0, 0.0], [[0], [1]])
@@ -435,7 +446,7 @@ class TestSweepAccounting:
         index, lams = self.levels(sol, cfg)
 
         def clears(direction, candidates, lam):
-            cutoff = (1.0 - cfg.epsilon) * cfg.mu * lam - cfg.value_tol
+            cutoff = (1.0 - cfg.epsilon) * cfg.mu * lam - VALUE_TOL
             return bool(np.any(direction[candidates] >= cutoff))
 
         previous = None
@@ -463,12 +474,16 @@ class TestSweepAccounting:
         # the sweep ends in an empty scan at the last level above the floor
         # unless it never started (a flat bracket), no coordinate can move, or
         # its last step search found no step
-        started = t.history[0].lam > cfg.value_tol
-        movable = polytope.movable(sol.x, cfg.delta_tol, cfg.value_tol).any()
+        started = t.history[0].lam > VALUE_TOL
+        movable = polytope.movable(sol.x, STEP_TOL).any()
         ended_at_floor = started and movable and (not searches or searches[-1][1])
         probed = sum(p for p, _ in searches)
         assert t.adaptive_rounds == len(log) + probed + refreshes + ended_at_floor
         assert t.inner_rounds == sum(accepted for _, accepted in searches)
+        if sobj is not None and started:
+            # one sample at the start and one after each step, unless the
+            # step left nothing movable
+            assert t.gradient_queries == t.inner_rounds + movable
         if sobj is None and ended_at_floor:
             lower, upper = opt_bounds(obj, polytope)
             assert sol.lambda_final < _lambda_floor(cfg.mu, lower, upper, polytope)
@@ -575,6 +590,19 @@ class TestStochasticParallelGreedy:
         sol = stochastic_parallel_greedy(sobj, p, cfg)
         assert sol.trace.value_queries == sobj.value_batch_calls
         assert sol.trace.gradient_queries == sobj.gradient_sample_calls
+
+    def test_no_sample_once_nothing_can_move(self):
+        # the last step fills the budget: one sample at the start and one
+        # after each step but the last
+        obj = make_coverage_instance(6, 8, density=0.4, seed=4)
+        p = CardinalityPolytope(6, 2)
+        sobj = StochasticObjective(obj, 0.25, seed=4)
+        cfg = SolverConfig(epsilon=0.1, spg_batch=8, noise_theta=0.25)
+        sol = stochastic_parallel_greedy(sobj, p, cfg)
+        t = sol.trace
+        assert not p.movable(sol.x, STEP_TOL).any()
+        assert t.inner_rounds > 1
+        assert t.gradient_queries == sobj.gradient_sample_calls == t.inner_rounds
 
     def test_seeded_runs_reproduce(self):
         obj = make_coverage_instance(4, 6, density=0.5, seed=19)
