@@ -99,6 +99,8 @@ class TestSolverConfig:
             {"diameter_D": -0.1},
             {"noise_theta": -0.2},
             {"max_outer_rounds": 0},
+            {"alpha": -0.5},
+            {"spg_batch": -4},
         ],
     )
     def test_validation(self, kwargs):
