@@ -6,7 +6,11 @@ the region two closed-form questions: which coordinates can take a small
 step on their own (:meth:`Polytope.movable`) and how far a group can move
 together (:meth:`Polytope.headroom`).  The grid oracle asks a third: which
 lattice index prefixes no feasible point can complete
-(:meth:`Polytope._lattice_prefixes`).  Known gap: on a non-downward-closed
+(:meth:`Polytope._lattice_prefixes`), answered exactly on complete rows, so
+the oracle evaluates the surviving points without testing them again.
+Where rounding could put a closed form on the other side of membership's
+comparison (a tie), the region answers with :meth:`Polytope._satisfies_many`
+on the rows themselves, as membership does.  Known gap: on a non-downward-closed
 region a coordinate tied with the coordinate that dominates it cannot move
 alone, so a tied chain whose dominating coordinate never clears the
 threshold stalls at the jump start.
@@ -31,7 +35,9 @@ class Polytope:
     :meth:`headroom` and :meth:`_lattice_prefixes` through ``super()`` with
     the same rows in closed form, and sets ``max_l1_point`` (a feasible
     point of maximal l1 norm; by default ``upper``) when its rows cut
-    ``upper`` off.
+    ``upper`` off.  A subclass that adds rows without a lattice rule of its
+    own still gets exact answers: the base tests its complete lattice rows
+    with :meth:`_satisfies_many`.
     """
 
     def __init__(self, dimension: int, upper=1.0):
@@ -88,16 +94,36 @@ class Polytope:
         ``idx`` holds one prefix a row: lattice indices into ``levels`` for
         coordinates ``0..k``, where ``k`` was just assigned and every shorter
         prefix already passed.  ``levels`` is increasing, with gaps wider than
-        ``tol``.  The mask may keep infeasible prefixes (the grid oracle tests
-        every candidate with :meth:`contains_many`) but must keep each prefix
-        of a point that :meth:`contains_many` accepts.  The box drops the
-        prefixes whose coordinate ``k`` lies above its bound.
+        ``tol``.  The mask keeps each prefix of a point that
+        :meth:`contains_many` accepts; it may keep other prefixes, but on
+        complete rows (``k = n - 1``) it keeps exactly the accepted points,
+        so the grid oracle evaluates them without a membership test.  The box
+        drops the prefixes whose coordinate ``k`` lies above its bound, the
+        comparison membership makes.  A region whose rows have no lattice
+        rule (see :meth:`_lattice_rule_covers_rows`) has its complete rows
+        tested with :meth:`_satisfies_many`.
         """
         k = idx.shape[1] - 1
         top = np.count_nonzero(levels <= self.upper[k] + tol) - 1
         if top == len(levels) - 1:  # skip the row test: chains and budgets grow ~10^5 rows a call
-            return np.ones(len(idx), dtype=bool)
-        return idx[:, k] <= top
+            keep = np.ones(len(idx), dtype=bool)
+        else:
+            keep = idx[:, k] <= top
+        if k == self.dimension - 1 and not self._lattice_rule_covers_rows():
+            keep[keep] = self._satisfies_many(levels[idx[keep]], tol)
+        return keep
+
+    @classmethod
+    def _lattice_rule_covers_rows(cls) -> bool:
+        """Whether :meth:`_lattice_prefixes` was written for the region's rows.
+
+        True when the class that defines it is the class that defines
+        :meth:`_satisfies_many`, or a subclass of that class.
+        """
+        def owner(name):
+            return next(c for c in cls.__mro__ if name in vars(c))
+
+        return issubclass(owner("_lattice_prefixes"), owner("_satisfies_many"))
 
     def _satisfies_many(self, X: np.ndarray, tol: float) -> np.ndarray:
         """Rows of ``X`` (each inside the box) that satisfy the region's own rows."""
@@ -148,14 +174,21 @@ class CardinalityPolytope(Polytope):
         return min(super().headroom(x, members), fill)
 
     def _lattice_prefixes(self, idx, levels, tol):
-        # levels[i] is i / resolution to a few ulp, so a feasible point's index
-        # sum exceeds (budget + tol) * resolution by a relative 1e-15 at most
-        resolution = len(levels) - 1
+        # levels[i] is i / resolution to a few ulp, so a row's sum lies within
+        # a relative 1e-15 of its index sum / resolution: the index sum
+        # decides, except within a relative 1e-12 of the bound (a tie), where
+        # complete rows are summed as contains_many sums them
+        bound = (self.budget + tol) * (len(levels) - 1)
         total = idx[:, 0].astype(np.uint32)
         for column in idx.T[1:]:
             total += column
         keep = super()._lattice_prefixes(idx, levels, tol)
-        return keep & (total <= (self.budget + tol) * resolution * (1.0 + 1e-12))
+        keep &= total <= bound * (1.0 + 1e-12)
+        if idx.shape[1] == self.dimension:
+            tie = keep & (total >= bound * (1.0 - 1e-12))
+            if tie.any():
+                keep[tie] = self._satisfies_many(levels[idx[tie]], tol)
+        return keep
 
     def describe(self):
         return {"kind": "cardinality", "budget": self.budget}

@@ -504,13 +504,14 @@ def grid_maximum(obj: OssObjective, polytope: Polytope, resolution: int) -> floa
     ``n * max|grad| / resolution``.
 
     The lattice is grown one coordinate at a time and the region drops the
-    index prefixes no feasible point can complete; the survivors, a superset
-    of the feasible points, are tested with ``polytope.contains_many`` and
-    only the feasible ones are evaluated, so the cost follows the candidate
-    count rather than ``(resolution + 1) ** n``.  The points evaluated are
-    those of full enumeration; the maximum can differ from it in the last
-    ulp or two, because a batched evaluation's rounding may depend on a
-    row's position in its batch.
+    index prefixes no feasible point can complete; on complete rows its
+    answer is exact (:meth:`Polytope._lattice_prefixes`), so the survivors
+    are the feasible points, each evaluated once and tested for membership
+    by nothing else, and the cost follows the feasible count rather than
+    ``(resolution + 1) ** n``.  The points evaluated are those of full
+    enumeration; the maximum can differ from it in the last ulp or two,
+    because a batched evaluation's rounding may depend on a row's position
+    in its batch.
 
     Raises GridBudgetError when the lattice would exceed the point budget
     or the dimension exceeds 8.
@@ -529,18 +530,16 @@ def grid_maximum(obj: OssObjective, polytope: Polytope, resolution: int) -> floa
 
     levels = np.linspace(0.0, 1.0, per_axis)
     best = -math.inf
-    for candidates in _lattice_candidates(polytope, levels):
-        points = levels[candidates]
-        feasible = polytope.contains_many(points)
-        if feasible.any():
-            best = max(best, float(obj.value_many(points[feasible]).max()))
+    for feasible in _lattice_candidates(polytope, levels):
+        if len(feasible):
+            best = max(best, float(obj.value_many(levels[feasible]).max()))
     if not math.isfinite(best):
         raise SolverError("no feasible grid points")
     return best
 
 
 def _lattice_candidates(polytope: Polytope, levels: np.ndarray):
-    """Blocks of lattice index rows that together hold every feasible point.
+    """Blocks of the index rows of the feasible lattice points.
 
     Rows come in lexicographic order; a block has at most
     ``len(levels) ** (n - 1)`` rows (``len(levels)`` when ``n == 1``).

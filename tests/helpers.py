@@ -16,8 +16,13 @@ import numpy as np
 
 
 def iter_grid(n, resolution):
-    """All lattice points of [0,1]^n with spacing 1/resolution."""
-    levels = [i / resolution for i in range(resolution + 1)]
+    """All lattice points of [0,1]^n with spacing 1/resolution.
+
+    The levels are ``np.linspace``'s, as in ``grid_maximum``: ``i / resolution``
+    rounded once can differ from them by an ulp (5/6 does), and on a region's
+    boundary that ulp decides membership.
+    """
+    levels = np.linspace(0.0, 1.0, resolution + 1).tolist()
     for combo in itertools.product(levels, repeat=n):
         yield np.array(combo)
 

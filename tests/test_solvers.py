@@ -38,6 +38,7 @@ from ossmax import (
 )
 
 from ossmax.core import STEP_TOL, VALUE_TOL
+from ossmax.polytopes import DEFAULT_MEMBERSHIP_TOL
 from ossmax.solvers import _Exact, _lambda_floor, _lattice_candidates, _line_search
 
 from helpers import grid_max_brute, iter_grid
@@ -674,11 +675,16 @@ class _HalfSpace(Polytope):
 # and outside the membership tolerance, and a fraction of a step away
 _NEAR_LATTICE = [0.0, 1e-10, -1e-10, 1e-7, -1e-7, 0.37, -0.37]
 
+# relative offsets of budget + tol from a lattice sum inside the cardinality
+# rule's (1 +- 1e-12) tie window: on it up to rounding, just below, just above
+_TIES = [0.0, -5e-13, 5e-13]
+
 
 @st.composite
 def grid_cases(draw):
     """(region, resolution): boxes and budgets on, just off and away from the
-    lattice, chains, 2-cycles, random DAGs and a bare Polytope subclass."""
+    lattice, budgets tied with a lattice sum, chains, 2-cycles, random DAGs
+    and a bare Polytope subclass."""
     kind = draw(st.sampled_from(["box", "cardinality", "chain", "cycle", "dag", "bare"]))
     n = draw(st.integers(1 if kind in ("box", "cardinality", "bare") else 2, 4))
     resolution = draw(st.integers(1, 6))
@@ -691,8 +697,14 @@ def grid_cases(draw):
     if kind == "box":
         return BoxPolytope(n, [near_lattice(resolution) for _ in range(n)]), resolution
     if kind == "cardinality":
-        budget = float(n) if draw(st.booleans()) else near_lattice(n * resolution)
-        return CardinalityPolytope(n, budget), resolution
+        budget = draw(st.sampled_from(["full", "near", "tie"]))
+        if budget == "full":
+            return CardinalityPolytope(n, float(n)), resolution
+        if budget == "near":
+            return CardinalityPolytope(n, near_lattice(n * resolution)), resolution
+        j = draw(st.integers(1, n * resolution))
+        tied = j / resolution * (1.0 + draw(st.sampled_from(_TIES))) - DEFAULT_MEMBERSHIP_TOL
+        return CardinalityPolytope(n, tied), resolution
     if kind == "bare":
         return _HalfSpace(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))), resolution
     order = draw(st.permutations(range(n)))
@@ -713,6 +725,22 @@ def _grid_objective(data, n):
     return random_semimetric_instance(n, seed=seed)
 
 
+def _candidates(p, resolution):
+    """Index rows of the blocks the lattice walk yields, checking the row bound."""
+    n, per_axis = p.dimension, resolution + 1
+    blocks = list(_lattice_candidates(p, np.linspace(0.0, 1.0, per_axis)))
+    assert all(len(b) <= per_axis ** max(n - 1, 1) for b in blocks)
+    return {tuple(row) for b in blocks for row in b.tolist()}
+
+
+def _accepted(p, resolution):
+    """Index rows of every lattice point that contains_many accepts."""
+    n, per_axis = p.dimension, resolution + 1
+    levels = np.linspace(0.0, 1.0, per_axis)
+    lattice = np.array(np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")).reshape(n, -1).T
+    return {tuple(row) for row in lattice[p.contains_many(levels[lattice])].tolist()}
+
+
 class TestGridExactness:
     """The pruned lattice walk against plain enumeration of every lattice point."""
 
@@ -727,19 +755,57 @@ class TestGridExactness:
     @settings(max_examples=300, deadline=None)
     @given(case=grid_cases())
     def test_candidates_hold_every_feasible_point(self, case):
-        # blocks within the row bound, holding every feasible point; the
-        # shipped regions' rules keep no infeasible one either
+        # blocks within the row bound, holding every feasible point and no
+        # other: grid_maximum evaluates them without a membership test
         p, resolution = case
-        n, per_axis = p.dimension, resolution + 1
-        levels = np.linspace(0.0, 1.0, per_axis)
-        blocks = list(_lattice_candidates(p, levels))
-        assert all(len(b) <= per_axis ** max(n - 1, 1) for b in blocks)
-        candidates = {tuple(row) for b in blocks for row in b.tolist()}
-        lattice = np.array(np.meshgrid(*[np.arange(per_axis)] * n, indexing="ij")).reshape(n, -1).T
-        accepted = {tuple(row) for row in lattice[p.contains_many(levels[lattice])].tolist()}
-        assert accepted <= candidates
-        if not isinstance(p, _HalfSpace):
-            assert accepted == candidates
+        assert _candidates(p, resolution) == _accepted(p, resolution)
+
+    def test_budget_tie_is_decided_as_membership_does(self):
+        # budget + tol = 0.5 (1 - 5e-13): the index sum 5 lies inside the tie
+        # window, and 0.5 + 0.0 lies above the bound
+        p = CardinalityPolytope(2, 0.5 * (1 - 5e-13) - DEFAULT_MEMBERSHIP_TOL)
+        assert not p.contains([0.5, 0.0])
+        candidates = _candidates(p, 10)
+        assert (5, 0) not in candidates
+        assert candidates == _accepted(p, 10)
+        obj = make_coverage_instance(2, 4, 0.5, seed=1)
+        slow = grid_max_brute(obj.value, p.contains, 2, 10)
+        obj.reset_counters()
+        fast = grid_maximum(obj, p, 10)
+        assert math.isclose(fast, slow, rel_tol=1e-12, abs_tol=1e-12)
+        assert obj.value_calls == 15
+        assert fast == pytest.approx(1.349, abs=5e-4)
+
+    def test_every_budget_on_a_lattice_sum_keeps_exactly_the_feasible_points(self):
+        # budget + tol equals j / resolution up to rounding: a float tie, where
+        # the index total and the row sum can disagree
+        for n in (2, 3):
+            for resolution in range(1, 11):
+                for j in range(1, n * resolution + 1):
+                    p = CardinalityPolytope(n, j / resolution - DEFAULT_MEMBERSHIP_TOL)
+                    assert _candidates(p, resolution) == _accepted(p, resolution), (n, resolution, j)
+
+    @pytest.mark.parametrize(
+        "p, tested_rows",
+        [
+            (BoxPolytope(3, [0.5, 1.0, 0.72]), 0),
+            (CardinalityPolytope(3, 1.5), 0),
+            (MonotoneLinearPolytope(3, [(0, 1), (1, 2)]), 0),
+            (_HalfSpace([0.9, 0.3, 1.7]), 9**3),  # no lattice rule: complete rows tested once
+        ],
+        ids=["box", "cardinality", "chain", "half-space"],
+    )
+    def test_no_membership_pass(self, p, tested_rows):
+        obj = make_coverage_instance(3, 5, 0.5, seed=3)
+        slow = grid_max_brute(obj.value, p.contains, 3, 8)
+        with mock.patch.object(p, "contains_many", wraps=p.contains_many) as membership, \
+                mock.patch.object(p, "_satisfies_many", wraps=p._satisfies_many) as rows:
+            obj.reset_counters()
+            fast = grid_maximum(obj, p, 8)
+        assert membership.call_count == 0
+        assert sum(len(call.args[0]) for call in rows.call_args_list) == tested_rows
+        assert math.isclose(fast, slow, rel_tol=1e-12, abs_tol=1e-12)
+        assert obj.value_calls == len(_accepted(p, 8))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
