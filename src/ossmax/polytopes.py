@@ -2,18 +2,18 @@
 
 Every region is the box ``[0, upper]`` of :class:`Polytope` cut by rows of
 its own.  The solvers move coordinates up, singly or in groups, and ask
-the region two closed-form questions: which coordinates can take a small
-step on their own (:meth:`Polytope.movable`) and how far a group can move
-together (:meth:`Polytope.headroom`).  The grid oracle asks a third: which
-lattice index prefixes no feasible point can complete
+the region how far they can go, in closed form: each coordinate on its own
+(:meth:`Polytope.room`) and a group together (:meth:`Polytope.headroom`),
+the two answers agreeing exactly on single coordinates.  The grid oracle
+asks which lattice index prefixes no feasible point can complete
 (:meth:`Polytope._lattice_prefixes`), answered exactly on complete rows, so
-the oracle evaluates the surviving points without testing them again.
-Where rounding could put a closed form on the other side of membership's
-comparison (a tie), the region answers with :meth:`Polytope._satisfies_many`
-on the rows themselves, as membership does.  Known gap: on a non-downward-closed
-region a coordinate tied with the coordinate that dominates it cannot move
-alone, so a tied chain whose dominating coordinate never clears the
-threshold stalls at the jump start.
+the oracle evaluates the surviving points without testing them again;
+where rounding could put the budget's closed form on the other side of
+membership's comparison (a tie), that rule answers with
+:meth:`Polytope._satisfies_many` on the rows themselves, as membership
+does.  Known gap: on a non-downward-closed region a coordinate tied with
+the coordinate that dominates it cannot move alone, so a tied chain whose
+dominating coordinate never clears the threshold stalls at the jump start.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class Polytope:
     """Base feasible region: the box ``{x : 0 <= x <= upper}``, ``upper`` in (0, 1]^n.
 
     The base answers the box part of every query.  A subclass overrides
-    :meth:`_satisfies_many` with its own rows, extends :meth:`movable`,
+    :meth:`_satisfies_many` with its own rows, extends :meth:`room`,
     :meth:`headroom` and :meth:`_lattice_prefixes` through ``super()`` with
     the same rows in closed form, and sets ``max_l1_point`` (a feasible
     point of maximal l1 norm; by default ``upper``) when its rows cut
@@ -66,18 +66,9 @@ class Polytope:
             ok[ok] = self._satisfies_many(X[ok], tol)
         return ok
 
-    def movable(self, x, step: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
-        """Mask of the coordinates ``i`` with ``x + step * e_i`` in the region within ``tol``.
-
-        Row for row the answer of :meth:`contains_many` on the probe matrix
-        ``x + step * I``, without building it.
-        """
-        x = np.asarray(x, dtype=float)
-        top = self.upper + tol
-        moved = x + step
-        failing = ~((x >= -tol) & (x <= top))
-        # row i: coordinate i passes once moved and no other coordinate fails
-        return (moved >= -tol) & (moved <= top) & (np.count_nonzero(failing) == failing)
+    def room(self, x) -> np.ndarray:
+        """``headroom(x, [i])`` for every coordinate ``i``: how far each can move alone."""
+        return self.upper - np.asarray(x, dtype=float)
 
     def headroom(self, x, members) -> float:
         """Largest ``delta`` with ``x + delta * 1_S`` in the region, ``S = members`` (nonempty).
@@ -158,16 +149,8 @@ class CardinalityPolytope(Polytope):
     def _satisfies_many(self, X, tol):
         return X.sum(axis=1) <= self.budget + tol
 
-    def movable(self, x, step, tol=DEFAULT_MEMBERSHIP_TOL):
-        x = np.asarray(x, dtype=float)
-        total, bound = float(np.sum(x)) + step, self.budget + tol
-        # any summation order of the same terms lands within this margin of total
-        margin = 2 * (len(x) + 1) * np.finfo(float).eps * (float(np.abs(x).sum()) + abs(step))
-        if abs(total - bound) > margin:
-            fits = total <= bound
-        else:  # a tie: sum each probe row as contains_many does
-            fits = self._satisfies_many(x + step * np.eye(len(x)), tol)
-        return super().movable(x, step, tol) & fits
+    def room(self, x):
+        return np.minimum(super().room(x), self.budget - float(np.sum(x)))
 
     def headroom(self, x, members):
         fill = (self.budget - float(np.sum(x))) / len(members)
@@ -219,20 +202,12 @@ class MonotoneLinearPolytope(Polytope):
     def _satisfies_many(self, X, tol):
         return np.all(X[:, self._lo] <= X[:, self._hi] + tol, axis=1)
 
-    def movable(self, x, step, tol=DEFAULT_MEMBERSHIP_TOL):
-        # a probe moves one end of a pair at most (i != j), so pair p fails in
-        # row i as it fails at x unless i is its low end or its high end
+    def room(self, x):
+        # alone, a coordinate leaves every pair it is the low end of
         x = np.asarray(x, dtype=float)
-        lo, hi, n = self._lo, self._hi, self.dimension
-        fails = ~(x[lo] <= x[hi] + tol)
-        lo_moved = ~(x[lo] + step <= x[hi] + tol)
-        hi_moved = ~(x[lo] <= (x[hi] + step) + tol)
-        failing = (
-            np.count_nonzero(fails)
-            - np.bincount(lo, fails, n) - np.bincount(hi, fails, n)
-            + np.bincount(lo, lo_moved, n) + np.bincount(hi, hi_moved, n)
-        )
-        return super().movable(x, step, tol) & (failing == 0)
+        room = super().room(x)
+        np.minimum.at(room, self._lo, x[self._hi] - x[self._lo])
+        return room
 
     def headroom(self, x, members):
         x = np.asarray(x, dtype=float)

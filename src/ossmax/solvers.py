@@ -310,7 +310,6 @@ def _threshold_sweep(
     t: float,
     fx: float,
     bounds: Tuple[float, float],
-    selection_log: Optional[list],
 ) -> Solution:
     """The threshold sweep shared by both parallel solvers.
 
@@ -328,9 +327,7 @@ def _threshold_sweep(
 
     The ``oracle`` is asked for a direction at the start point and after
     every accepted step, with the clock from before the step, but only when
-    some coordinate can move.  ``selection_log``, when given, collects
-    ``(lam, direction, candidates, members)`` tuples for selection replay,
-    one per scan that selected something.
+    some coordinate can move.
     """
     lower, upper = bounds
     lam = upper
@@ -355,13 +352,10 @@ def _threshold_sweep(
         while best < _cutoff(lam, cfg) and lam * (1.0 - cfg.epsilon) >= floor:
             lam *= 1.0 - cfg.epsilon
             enter_level()
-        members = select_directions(direction, lam, cfg, trace=trace, candidates=movable).members
-        if selection_log is not None and members.size:
-            selection_log.append((lam, direction.copy(), movable.copy(), members.copy()))
-        return members
+        return select_directions(direction, lam, cfg, trace=trace, candidates=movable).members
 
     floor = _lambda_floor(cfg.mu, lower, upper, polytope)
-    movable = polytope.movable(x, STEP_TOL)
+    movable = polytope.room(x) >= STEP_TOL
     if movable.any():
         direction = oracle.direction(x, t)
 
@@ -380,7 +374,7 @@ def _threshold_sweep(
             fx = oracle.settle(x, f_step)
             trace.inner_rounds += 1
             trace.record(t, lam, delta, members.size, fx)
-            movable = polytope.movable(x, STEP_TOL)
+            movable = polytope.room(x) >= STEP_TOL
             if not movable.any():
                 break
             direction = oracle.direction(x, clock)
@@ -390,37 +384,24 @@ def _threshold_sweep(
     return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
 
 
-def parallel_greedy(
-    obj: OssObjective,
-    polytope: Polytope,
-    cfg: SolverConfig,
-    selection_log: Optional[list] = None,
-) -> Solution:
+def parallel_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> Solution:
     """Deterministic jump-started threshold greedy.
 
     Starts from ``alpha`` times the region's max-l1 point and runs the
     threshold sweep on exact gradients and values.  Raises RoundLimitError
     if the outer loop exceeds its safety cap, and SolverError on a dimension
     mismatch or non-finite oracle output.
-
-    ``selection_log``, when given, collects ``(lam, gradient, candidates,
-    members)`` tuples for selection replay.
     """
     _check_dimensions(obj.dimension, polytope)
     trace = SolverTrace()
     oracle = _Exact(obj, cfg, trace)
     x = cfg.alpha * polytope.max_l1_point
     bounds = opt_bounds(oracle, polytope)
-    return _threshold_sweep(
-        polytope, cfg, trace, oracle, x, cfg.alpha, oracle.value(x), bounds, selection_log
-    )
+    return _threshold_sweep(polytope, cfg, trace, oracle, x, cfg.alpha, oracle.value(x), bounds)
 
 
 def stochastic_parallel_greedy(
-    sobj: StochasticObjective,
-    polytope: Polytope,
-    cfg: SolverConfig,
-    selection_log: Optional[list] = None,
+    sobj: StochasticObjective, polytope: Polytope, cfg: SolverConfig
 ) -> Solution:
     """Threshold greedy under sample access to values and gradients.
 
@@ -441,9 +422,7 @@ def stochastic_parallel_greedy(
     oracle = _Sampled(sobj, cfg, trace)
     x = np.zeros(polytope.dimension)
     bounds = opt_bounds(oracle, polytope)
-    return _threshold_sweep(
-        polytope, cfg, trace, oracle, x, 0.0, sobj.ground_truth.value(x), bounds, selection_log
-    )
+    return _threshold_sweep(polytope, cfg, trace, oracle, x, 0.0, sobj.ground_truth.value(x), bounds)
 
 
 def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> Solution:
@@ -471,7 +450,8 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
 
     step_limit = 4 * math.ceil(n * mass_scale / step) + 16 * n
     for _ in range(step_limit):
-        movable = polytope.movable(x, STEP_TOL)
+        room = polytope.room(x)
+        movable = room >= STEP_TOL
         if not movable.any():
             break
         trace.adaptive_rounds += 1
@@ -480,7 +460,7 @@ def serial_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) -> S
         best = int(np.argmax(scores))
         if scores[best] <= VALUE_TOL:
             break  # no ascent direction left
-        delta = min(step, polytope.headroom(x, [best]))
+        delta = min(step, float(room[best]))
         if delta < STEP_TOL:
             break
         x = _moved(x, best, delta)

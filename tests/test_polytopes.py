@@ -107,18 +107,18 @@ def feasible_point(p, raw):
 
 
 class TestClosedForms:
-    """Closed-form movability and headroom against the membership test."""
+    """Closed-form room and headroom against each other and the membership test."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_movable_matches_probe_membership(self, data):
+    def test_room_is_the_headroom_of_each_coordinate(self, data):
         p = data.draw(regions())
         n = p.dimension
-        x = np.array(data.draw(st.lists(coordinates, min_size=n, max_size=n)))
-        step = data.draw(st.one_of(st.sampled_from([1e-6, 0.25]), st.floats(1e-9, 0.5)))
-        tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-6]))
-        probes = x[None, :] + step * np.eye(n)
-        assert np.array_equal(p.movable(x, step, tol), p.contains_many(probes, tol))
+        x = feasible_point(p, data.draw(st.lists(coordinates, min_size=n, max_size=n)))
+        room = p.room(x)
+        assert room.shape == (n,)
+        for i in range(n):
+            assert room[i] == p.headroom(x, [i])
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -150,14 +150,12 @@ class TestClosedForms:
         alpha = data.draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)))
         assert (alpha * p.max_l1_point).max() <= 1.0
 
-    def test_movable_breaks_a_summation_tie_as_membership_does(self):
-        # sum(x) + step is 1.000001, the probe row 0.25 + (0.75 + 1e-6) one ulp above
+    def test_a_full_budget_leaves_no_room(self):
+        # a probe x + 1e-6 * e_i within tol = 1e-6 would sit on a summation
+        # tie here (1.000001 against 1.0000010000000001); the room makes none
         p = CardinalityPolytope(2, 1.0)
         x = np.array([0.25, 0.75])
-        step = tol = 1e-6
-        probes = x[None, :] + step * np.eye(2)
-        assert np.array_equal(p.movable(x, step, tol), p.contains_many(probes, tol))
-        assert np.array_equal(p.movable(x, step, tol), [True, False])
+        assert np.array_equal(p.room(x), [0.0, 0.0])
 
 
 class TestOptBounds:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from unittest import mock
@@ -49,6 +50,23 @@ def linear_objective(n, coeffs=None):
     if n == 1:
         return CoverageMultilinearObjective(coeffs, [[0]])
     return make_semimetric_instance(np.zeros((n, 1)), coeffs)
+
+
+@contextlib.contextmanager
+def selection_log():
+    """Log ``(lam, gradient, candidates, members)`` for every scan of the
+    sweep that selects something, by wrapping ``select_directions``."""
+    log = []
+    select = ossmax.solvers.select_directions
+
+    def logged(gradient, lam, cfg, trace=None, candidates=None):
+        chosen = select(gradient, lam, cfg, trace=trace, candidates=candidates)
+        if chosen.members.size:
+            log.append((lam, np.array(gradient), np.array(candidates), chosen.members.copy()))
+        return chosen
+
+    with mock.patch.object(ossmax.solvers, "select_directions", logged):
+        yield log
 
 
 class TestSelectDirections:
@@ -305,8 +323,8 @@ class TestParallelGreedy:
         obj = make_coverage_instance(5, 7, density=0.5, seed=12)
         p = BoxPolytope(5, 1.0)
         cfg = SolverConfig(epsilon=0.1)
-        log = []
-        parallel_greedy(obj, p, cfg, selection_log=log)
+        with selection_log() as log:
+            parallel_greedy(obj, p, cfg)
         assert log
         cutoff_slack = VALUE_TOL
         for lam, g, candidates, members in log:
@@ -368,6 +386,23 @@ class TestParallelGreedy:
         assert sol.trace.gradient_queries == obj.gradient_calls - g0 == 0
         assert sol.trace.outer_rounds == sol.trace.adaptive_rounds == 0
 
+    @pytest.mark.parametrize(
+        "p",
+        [BoxPolytope(3, 1.0), CardinalityPolytope(3, 1), MonotoneLinearPolytope(3, [(0, 1), (1, 2)])],
+        ids=["box", "cardinality", "chain"],
+    )
+    def test_start_with_room_just_below_a_step_takes_no_round(self, p):
+        # each coordinate's room at the start is below STEP_TOL, though within
+        # the membership tolerance of it: no step search could take a step,
+        # so no coordinate counts as movable and the sweep never starts
+        obj = linear_objective(3, [1.0, 2.0, 3.0])
+        cfg = SolverConfig(alpha=1.0 - (STEP_TOL - 0.5 * DEFAULT_MEMBERSHIP_TOL), epsilon=0.1)
+        start = cfg.alpha * p.max_l1_point
+        sol = parallel_greedy(obj, p, cfg)
+        assert sol.trace.adaptive_rounds == sol.trace.gradient_queries == 0
+        assert np.array_equal(sol.x, start)
+        assert sol.value == obj.value(start)
+
     def test_flat_objective_returns_start(self):
         obj = CoverageMultilinearObjective([0.0, 0.0], [[0], [1]])
         p = BoxPolytope(2, 1.0)
@@ -406,7 +441,7 @@ def sweep_cases(draw):
 def traced_sweep(obj, polytope, cfg, sobj):
     """Run the sweep with a selection log and a record of its step searches:
     one (probed the objective, accepted a step) pair per search."""
-    log, searches = [], []
+    searches = []
     line_search = ossmax.solvers._line_search
 
     def recorded(evaluate, *args, **kwargs):
@@ -420,11 +455,11 @@ def traced_sweep(obj, polytope, cfg, sobj):
         searches.append((bool(probes), delta > 0.0))
         return delta, f_step
 
-    with mock.patch.object(ossmax.solvers, "_line_search", recorded):
+    with mock.patch.object(ossmax.solvers, "_line_search", recorded), selection_log() as log:
         if sobj is None:
-            sol = parallel_greedy(obj, polytope, cfg, selection_log=log)
+            sol = parallel_greedy(obj, polytope, cfg)
         else:
-            sol = stochastic_parallel_greedy(sobj, polytope, cfg, selection_log=log)
+            sol = stochastic_parallel_greedy(sobj, polytope, cfg)
     return sol, log, searches
 
 
@@ -476,7 +511,7 @@ class TestSweepAccounting:
         # unless it never started (a flat bracket), no coordinate can move, or
         # its last step search found no step
         started = t.history[0].lam > VALUE_TOL
-        movable = polytope.movable(sol.x, STEP_TOL).any()
+        movable = (polytope.room(sol.x) >= STEP_TOL).any()
         ended_at_floor = started and movable and (not searches or searches[-1][1])
         probed = sum(p for p, _ in searches)
         assert t.adaptive_rounds == len(log) + probed + refreshes + ended_at_floor
@@ -601,7 +636,7 @@ class TestStochasticParallelGreedy:
         cfg = SolverConfig(epsilon=0.1, spg_batch=8, noise_theta=0.25)
         sol = stochastic_parallel_greedy(sobj, p, cfg)
         t = sol.trace
-        assert not p.movable(sol.x, STEP_TOL).any()
+        assert not (p.room(sol.x) >= STEP_TOL).any()
         assert t.inner_rounds > 1
         assert t.gradient_queries == sobj.gradient_sample_calls == t.inner_rounds
 
