@@ -19,7 +19,6 @@ points it evaluates (the only points its pruned walk keeps).
 Run: python demos/benchmark_scaling.py
 """
 
-import gc
 import math
 import time
 import tracemalloc
@@ -89,7 +88,6 @@ print(
     f"{'point':>12} {'value_ms':>9} {'gradient_ms':>12} {'kept_gradient_ms':>17}"
 )
 for n in (1024, 2048, 4096):
-    gc.collect()  # finished objectives hold reference cycles
     tracemalloc.start()
     random_semimetric_instance(n, seed=n)
     peak = tracemalloc.get_traced_memory()[1]
@@ -97,7 +95,6 @@ for n in (1024, 2048, 4096):
     builds = []
     for _ in range(3):  # best of three builds
         objective = None  # drop the previous build before timing the next
-        gc.collect()
         start = time.perf_counter()
         objective = random_semimetric_instance(n, seed=n)
         builds.append(time.perf_counter() - start)

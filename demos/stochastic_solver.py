@@ -11,7 +11,6 @@ from ossmax import (
     BoxPolytope,
     SolverConfig,
     StochasticObjective,
-    initial_gradient_estimate,
     kappa_envelope,
     make_coverage_instance,
     parallel_greedy,
@@ -31,12 +30,12 @@ x = np.full(6, 0.3)
 target = objective.gradient(x)
 sampler = StochasticObjective(objective, theta=theta, seed=0)
 
-estimate = initial_gradient_estimate(6)
+estimate = np.zeros(6)
 print("updates   ||estimate - gradient||")
 for t in range(200):
     estimate = update_gradient_estimate(estimate, sampler.sample_gradient(x), float(t))
     if t + 1 in (1, 5, 20, 50, 200):
-        gap = float(np.linalg.norm(estimate.d - target))
+        gap = float(np.linalg.norm(estimate - target))
         print(f"  {t + 1:4d}    {gap:.4f}")
 
 print()

@@ -45,9 +45,7 @@ from .polytopes import (
 )
 from .solvers import (
     DirectionSet,
-    GradientEstimate,
     grid_maximum,
-    initial_gradient_estimate,
     kappa_envelope,
     momentum_weight,
     parallel_greedy,
@@ -65,7 +63,6 @@ __all__ = [
     "ConfigError",
     "CoverageMultilinearObjective",
     "DirectionSet",
-    "GradientEstimate",
     "GridBudgetError",
     "Instance",
     "MonotoneLinearPolytope",
@@ -86,7 +83,6 @@ __all__ = [
     "default_outer_round_cap",
     "grid_maximum",
     "guaranteed_ratio",
-    "initial_gradient_estimate",
     "instance_from_dict",
     "instance_to_dict",
     "kappa_envelope",

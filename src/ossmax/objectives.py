@@ -70,21 +70,35 @@ class _CallCounter:
 class OssObjective:
     """Deterministic first-order oracle with invocation counting.
 
-    Wraps a value function, a gradient function, and optionally an exact
-    Hessian quadratic form ``(x, u) -> u' H(x) u``.  When the quadratic form
-    is absent it falls back to a central second difference along ``u``; the
-    fallback is meant for verification, not for solver hot paths.
+    A family implements three hooks: ``_value_impl(x)``, ``_gradient_impl(x)``
+    and, optionally, an exact Hessian quadratic form ``_quad_impl(x, u) ->
+    u' H(x) u``.  Functions given as ``value_fn``, ``gradient_fn`` and
+    ``hessian_quadratic_fn`` stand in for the hooks of that one instance, and
+    a value and a gradient are required one way or the other.  Without a
+    quadratic form the objective falls back to a central second difference
+    along ``u``, meant for verification, not for solver hot paths.  A
+    family's hooks are methods, not stored callables, so nothing its
+    objective holds refers back to it and a dropped objective is freed at
+    once, without waiting for the cyclic collector.
     """
+
+    _quad_impl = None
 
     def __init__(
         self,
         dimension: int,
-        value_fn: Callable[[np.ndarray], float],
-        gradient_fn: Callable[[np.ndarray], np.ndarray],
+        value_fn: Optional[Callable[[np.ndarray], float]] = None,
+        gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         hessian_quadratic_fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
         sigma_claimed: float = 0.0,
         label: str = "objective",
     ):
+        hooks = {"_value_impl": value_fn, "_gradient_impl": gradient_fn, "_quad_impl": hessian_quadratic_fn}
+        for hook, fn in hooks.items():
+            if fn is not None:
+                setattr(self, hook, fn)
+        if not (hasattr(self, "_value_impl") and hasattr(self, "_gradient_impl")):
+            raise TypeError("an objective needs a value function and a gradient function")
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         if sigma_claimed < 0.0:
@@ -92,9 +106,6 @@ class OssObjective:
         self.dimension = int(dimension)
         self.sigma_claimed = float(sigma_claimed)
         self.label = label
-        self._value_fn = value_fn
-        self._gradient_fn = gradient_fn
-        self._hessian_fn = hessian_quadratic_fn
         self._value_calls = _CallCounter()
         self._gradient_calls = _CallCounter()
 
@@ -119,7 +130,7 @@ class OssObjective:
     def value(self, x) -> float:
         x = self._coerce(x)
         self._value_calls.bump()
-        v = float(self._value_fn(x))
+        v = float(self._value_impl(x))
         if not math.isfinite(v):
             raise SolverError(f"{self.label}: value oracle returned {v}")
         return v
@@ -127,7 +138,7 @@ class OssObjective:
     def gradient(self, x) -> Vector:
         x = self._coerce(x)
         self._gradient_calls.bump()
-        g = np.asarray(self._gradient_fn(x), dtype=float)
+        g = np.asarray(self._gradient_impl(x), dtype=float)
         if g.shape != (self.dimension,):
             raise SolverError(f"{self.label}: gradient oracle returned shape {g.shape}")
         return check_finite(g, f"{self.label}: gradient oracle")
@@ -135,8 +146,8 @@ class OssObjective:
     def hessian_quadratic_form(self, x, u) -> float:
         x = self._coerce(x)
         u = self._coerce(u)
-        if self._hessian_fn is not None:
-            return float(self._hessian_fn(x, u))
+        if self._quad_impl is not None:
+            return float(self._quad_impl(x, u))
         h = FD_STEP
         return (self.value(x + h * u) - 2.0 * self.value(x) + self.value(x - h * u)) / (h * h)
 
@@ -144,7 +155,7 @@ class OssObjective:
         """Vectorized batch evaluation; counts one invocation per row."""
         X = np.asarray(X, dtype=float)
         self._value_calls.bump(len(X))
-        return np.array([float(self._value_fn(row)) for row in X])
+        return np.array([float(self._value_impl(row)) for row in X])
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
@@ -218,14 +229,7 @@ class QuadraticSemiMetricObjective(OssObjective):
         # (bytes of the last point, its product), replaced whole so that a
         # reader never pairs one point with another point's product
         self._memo = (None, None)
-        super().__init__(
-            n,
-            value_fn=self._value_impl,
-            gradient_fn=self._gradient_impl,
-            hessian_quadratic_fn=lambda x, u: float(u @ self.M @ u),
-            sigma_claimed=sigma,
-            label=label,
-        )
+        super().__init__(n, sigma_claimed=sigma, label=label)
 
     def reset_counters(self) -> None:
         """Zero the counters and drop the kept product, so that the queries
@@ -259,6 +263,9 @@ class QuadraticSemiMetricObjective(OssObjective):
 
     def _gradient_impl(self, x) -> np.ndarray:
         return self._product(x) + self.b
+
+    def _quad_impl(self, x, u) -> float:
+        return float(u @ self.M @ u)
 
     def value_many(self, X):
         """Batch evaluation; counts one invocation per row.
@@ -319,14 +326,7 @@ class CoverageMultilinearObjective(OssObjective):
         covered = rows[self._starts]
         self._segment = np.searchsorted(covered, rows)  # covered element of each pair
         self._covered_weights = self.weights[covered]
-        super().__init__(
-            n,
-            value_fn=self._value_impl,
-            gradient_fn=self._gradient_impl,
-            hessian_quadratic_fn=self._quad_impl,
-            sigma_claimed=0.0,
-            label=label,
-        )
+        super().__init__(n, sigma_claimed=0.0, label=label)
 
     def _factors(self, x):
         """Each pair's factor ``1 - x_i`` with exact zeros replaced by 1, the
@@ -529,8 +529,7 @@ class StochasticObjective:
             raise ValueError("theta must be nonnegative")
         self.ground_truth = ground_truth
         self.theta = float(theta)
-        self._seed_seq = np.random.SeedSequence(seed)
-        self._rng = np.random.default_rng(self._seed_seq)
+        self._rng = np.random.default_rng(seed)
         self._gradient_samples = _CallCounter()
         self._value_batches = _CallCounter()
 
@@ -552,10 +551,8 @@ class StochasticObjective:
 
     def spawn(self) -> "StochasticObjective":
         """Independent stream over the same ground truth, for concurrent callers."""
-        child = StochasticObjective(self.ground_truth, self.theta)
-        child._seed_seq = self._seed_seq.spawn(1)[0]
-        child._rng = np.random.default_rng(child._seed_seq)
-        return child
+        seed = self._rng.bit_generator.seed_seq.spawn(1)[0]
+        return StochasticObjective(self.ground_truth, self.theta, seed=seed)
 
     def _gradient_noise(self, n: int) -> np.ndarray:
         if self.theta == 0.0:

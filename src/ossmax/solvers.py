@@ -70,32 +70,18 @@ class DirectionSet:
     members: np.ndarray
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
-    """Momentum-averaged gradient estimate for the stochastic solver."""
-
-    d: Vector
-    t_last: float
-    rho_last: float
-
-
-def initial_gradient_estimate(dimension: int) -> GradientEstimate:
-    return GradientEstimate(d=np.zeros(dimension), t_last=0.0, rho_last=0.0)
-
-
 def momentum_weight(t: float) -> float:
     """Averaging weight ``(4 / (t + 8)) ** (2/3)``; lies in (0, 1] for t >= 0."""
     return (4.0 / (t + 8.0)) ** (2.0 / 3.0)
 
 
-def update_gradient_estimate(estimate: GradientEstimate, sample, t: float) -> GradientEstimate:
-    """One momentum update ``d <- (1 - rho_t) d + rho_t * sample``."""
+def update_gradient_estimate(d: Vector, sample, t: float) -> Vector:
+    """One momentum update of the estimate ``d``: ``(1 - rho_t) d + rho_t * sample``."""
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     rho = momentum_weight(t)
     sample = np.asarray(sample, dtype=float)
-    d = (1.0 - rho) * estimate.d + rho * sample
-    return GradientEstimate(d=d, t_last=float(t), rho_last=rho)
+    return (1.0 - rho) * d + rho * sample
 
 
 def kappa_envelope(
@@ -269,7 +255,7 @@ class _Sampled:
         self.step_bound = _step_bound(cfg, sobj.dimension, 2.0)
         if not math.isfinite(kappa_envelope(0.0, cfg.noise_theta, cfg.lipschitz_L, cfg.diameter_D)):
             raise SolverError("variance envelope is non-finite; check L, D, theta")
-        self.estimate = initial_gradient_estimate(sobj.dimension)
+        self.d = np.zeros(sobj.dimension)  # the momentum-averaged gradient estimate
 
     def value(self, point) -> float:
         self.trace.value_queries += 1
@@ -282,8 +268,8 @@ class _Sampled:
         self.trace.gradient_queries += 1
         self.trace.adaptive_rounds += 1
         sample = check_finite(self.sobj.sample_gradient(x), "stochastic gradient sample")
-        self.estimate = update_gradient_estimate(self.estimate, sample, clock)
-        return self.estimate.d
+        self.d = update_gradient_estimate(self.d, sample, clock)
+        return self.d
 
     def test(self, x: Vector, fx: float, lam: float, t: float) -> Tuple[float, float]:
         cfg = self.cfg

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -129,7 +130,6 @@ class TestSemiMetricConstruction:
 
 def _traced_peak(build):
     """``build()``'s result and the bytes it allocated at its peak."""
-    gc.collect()  # finished objectives hold reference cycles
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -699,6 +699,16 @@ class TestStochasticObjective:
         child_b = parent.spawn()
         assert not np.allclose(child_a.sample_gradient(x), child_b.sample_gradient(x))
 
+    def test_spawned_children_of_equally_seeded_parents_draw_alike(self):
+        obj = make_coverage_instance(3, 4, seed=52)
+        parents = [StochasticObjective(obj, theta=0.5, seed=10) for _ in range(2)]
+        x = np.full(3, 0.2)
+        for _ in range(2):  # the first children, then the second ones
+            a, b = (parent.spawn() for parent in parents)
+            for _ in range(3):
+                assert np.array_equal(a.sample_gradient(x), b.sample_gradient(x))
+                assert a.empirical_value(x, 8) == b.empirical_value(x, 8)
+
     @settings(max_examples=200, deadline=None)
     @given(
         theta=st.floats(0.0, 10.0),
@@ -728,3 +738,49 @@ class TestStochasticObjective:
         obj = make_coverage_instance(3, 4, seed=52)
         with pytest.raises(ValueError):
             StochasticObjective(obj, theta=-0.1)
+
+
+class TestLifetime:
+    """Nothing an objective holds refers back to it, so dropping its last
+    reference frees it at once, with the cyclic collector turned off."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _quadratic(3, np.random.default_rng(11)),
+            lambda: make_coverage_instance(3, 4, seed=11),
+            lambda: OssObjective(3, lambda x: float(x.sum()), lambda x: np.ones(3)),
+        ],
+        ids=["quadratic", "coverage", "callables"],
+    )
+    def test_dropped_objective_is_freed_at_once(self, build):
+        x = np.full(3, 0.5)
+        gc.disable()
+        try:
+            obj = build()
+            obj.value(x)
+            obj.gradient(x)  # the quadratic keeps the product of x
+            ref = weakref.ref(obj)
+            del obj
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_dropped_sampler_frees_its_ground_truth_at_once(self):
+        x = np.full(3, 0.5)
+        gc.disable()
+        try:
+            sobj = StochasticObjective(_quadratic(3, np.random.default_rng(12)), theta=0.5, seed=12)
+            sobj.empirical_value(x, 4)
+            sobj.sample_gradient(x)
+            refs = weakref.ref(sobj), weakref.ref(sobj.ground_truth)
+            del sobj
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_value_and_gradient_are_required(self):
+        with pytest.raises(TypeError):
+            OssObjective(3)
+        with pytest.raises(TypeError):
+            OssObjective(3, lambda x: float(x.sum()))
