@@ -26,7 +26,6 @@ from .objectives import (
     CoverageMultilinearObjective,
     OssObjective,
     QuadraticSemiMetricObjective,
-    SemiMetricReport,
     StochasticObjective,
     VerificationReport,
     make_coverage_instance,
@@ -70,7 +69,6 @@ __all__ = [
     "Polytope",
     "QuadraticSemiMetricObjective",
     "RoundLimitError",
-    "SemiMetricReport",
     "Solution",
     "SolverConfig",
     "SolverError",

@@ -312,7 +312,8 @@ def _cmd_solve(args) -> int:
     print(f"opt bracket   [{record.opt_lower:.6f}, {record.opt_upper:.6f}]")
     if record.grid_opt is not None:
         print(f"grid optimum  {record.grid_opt:.6f}")
-        print(f"ratio         {record.ratio:.4f}")
+        ratio = "n/a (grid optimum is 0)" if record.ratio is None else f"{record.ratio:.4f}"
+        print(f"ratio         {ratio}")
     print(
         f"rounds/queries  adaptive={record.adaptive_rounds}"
         f" value={record.value_queries} gradient={record.gradient_queries}"
@@ -325,37 +326,34 @@ def _cmd_verify(args) -> int:
     instance = read_instance(args.instance)
     objective = instance.objective
     sigma = args.sigma if args.sigma is not None else objective.sigma_claimed
-    failed = False
 
-    if isinstance(objective, QuadraticSemiMetricObjective):
-        report = verify_semimetric(objective.M, sigma)
+    def reports():
+        if isinstance(objective, QuadraticSemiMetricObjective):
+            yield verify_semimetric(objective.M, sigma)
+        yield verify_oss(objective, sigma, trials=args.trials, seed=args.seed)
+        if args.eta is not None:
+            yield verify_eta_local(objective, args.eta, trials=args.trials, seed=args.seed)
+
+    failed = False
+    for report in reports():
         print(report.summary())
         if not report.passed:
             failed = True
-            i, j, k = report.witness
-            lhs = objective.M[i, j]
-            rhs = sigma * (objective.M[i, k] + objective.M[k, j])
-            print(f"  witness triple ({i}, {j}, {k}): M[{i},{j}]={lhs:g} > {sigma:g}*(M[{i},{k}]+M[{k},{j}])={rhs:g}")
-
-    oss = verify_oss(objective, sigma, trials=args.trials, seed=args.seed)
-    print(oss.summary())
-    if not oss.passed:
-        failed = True
-        x, u = oss.witness
-        print(f"  witness x={np.array2string(x, precision=4)} u={np.array2string(u, precision=4)}")
-
-    if args.eta is not None:
-        local = verify_eta_local(objective, args.eta, trials=args.trials, seed=args.seed)
-        print(local.summary())
-        if not local.passed:
-            failed = True
-            x, u, eps = local.witness
-            print(
-                f"  witness x={np.array2string(x, precision=4)}"
-                f" u={np.array2string(u, precision=4)} eps={eps:.4f}"
-            )
-
+            print(f"  witness {_witness(report, objective, sigma)}")
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
+
+
+def _witness(report, objective, sigma: float) -> str:
+    """A failed check's witness: the semi-metric check's index triple, or a
+    sample ``(x, u)`` with the locality check's step ``eps`` after it."""
+    if report.trials is None:
+        i, j, k = report.witness
+        lhs = objective.M[i, j]
+        rhs = sigma * (objective.M[i, k] + objective.M[k, j])
+        return f"triple ({i}, {j}, {k}): M[{i},{j}]={lhs:g} > {sigma:g}*(M[{i},{k}]+M[{k},{j}])={rhs:g}"
+    x, u, *step = report.witness
+    text = f"x={np.array2string(x, precision=4)} u={np.array2string(u, precision=4)}"
+    return text + "".join(f" eps={eps:.4f}" for eps in step)
 
 
 def _cmd_bench(args) -> int:
@@ -373,10 +371,10 @@ def _cmd_bench(args) -> int:
         solver = row.get("solver", "jspg")
         raw_path = Path(instance_path)
         resolved = raw_path if raw_path.is_absolute() else suite_dir / raw_path
+        seed = row.get("seed", 0)
         try:
             instance = read_instance(resolved)
             cfg = _config(row.get("config", {}), instance)
-            seed = row.get("seed", 0)
             record = _run_one(
                 instance, str(instance_path), solver, cfg, seed, row.get("grid_resolution", 0)
             )
@@ -384,7 +382,7 @@ def _cmd_bench(args) -> int:
             record = RunRecord(
                 instance=str(instance_path),
                 solver=solver,
-                seed=row.get("seed"),
+                seed=seed,
                 dimension=-1,
                 error=f"{type(exc).__name__}: {exc}",
             )

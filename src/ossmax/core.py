@@ -69,7 +69,8 @@ class SolverConfig:
     ``eta`` the locality parameter entering the step cap, and ``sigma`` the
     smoothness parameter entering the contraction factor.  ``lipschitz_L``,
     ``diameter_D`` and ``noise_theta`` only matter for the stochastic solver.
-    The numeric tolerances are fixed: ``STEP_TOL`` and ``VALUE_TOL``.
+    The numeric tolerances are fixed: ``STEP_TOL`` and ``VALUE_TOL`` here,
+    ``MEMBERSHIP_TOL`` in :mod:`ossmax.polytopes`.
     """
 
     alpha: float = 0.05

@@ -580,17 +580,45 @@ class StochasticObjective:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a sampled inequality check."""
+    """Outcome of an inequality check; ``trials`` is None for the exhaustive one."""
 
     passed: bool
     worst_violation: float
     witness: Optional[tuple]
-    trials: int
+    trials: Optional[int]
     checked: str = ""
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        return f"{self.checked or 'check'}: {status} (worst violation {self.worst_violation:.3e}, {self.trials} trials)"
+        counted = "" if self.trials is None else f", {self.trials} trials"
+        # the exhaustive check's witness is an index triple, named on failure
+        where = f" at triple {self.witness}" if self.trials is None and not self.passed else ""
+        return f"{self.checked or 'check'}: {status} (worst violation {self.worst_violation:.3e}{counted}){where}"
+
+
+def _sampled_check(draw, trials: int, seed: Optional[int], checked: str) -> VerificationReport:
+    """The loop of the sampled verifiers.
+
+    ``draw(rng)`` takes one sample from ``rng`` and returns None to skip it,
+    or ``(witness, lhs, rhs)`` for an inequality ``lhs <= rhs`` that must hold
+    within the relative slack ``VALUE_TOL * (1 + |rhs|)``.  The report keeps
+    the largest ``lhs - rhs`` and the first sample that reached it.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rng = np.random.default_rng(seed)
+    worst, witness, passed = -math.inf, None, True
+    for _ in range(trials):
+        drawn = draw(rng)
+        if drawn is None:
+            continue
+        sample, lhs, rhs = drawn
+        violation = lhs - rhs
+        if violation > worst:
+            worst, witness = violation, sample
+        if lhs > rhs + VALUE_TOL * (1.0 + abs(rhs)):
+            passed = False
+    return VerificationReport(passed, worst, witness, trials, checked)
 
 
 def verify_oss(
@@ -606,29 +634,20 @@ def verify_oss(
     ``u'H(x)u <= sigma * (2 ||u||_1 / ||x||_1) * u' grad F(x)`` within
     relative slack at every sample.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    rng = np.random.default_rng(seed)
     n = obj.dimension
-    worst = -math.inf
-    witness = None
-    passed = True
-    for _ in range(trials):
+
+    def draw(rng):
         x = rng.uniform(size=n)
         while x.sum() < 1e-6:
             x = rng.uniform(size=n)
         u = rng.uniform(size=n)
         lhs = obj.hessian_quadratic_form(x, u)
         rhs = sigma * (2.0 * u.sum() / x.sum()) * float(u @ obj.gradient(x))
-        violation = lhs - rhs
-        if violation > worst:
-            worst = violation
-            witness = (x.copy(), u.copy())
-        if lhs > rhs + VALUE_TOL * (1.0 + abs(rhs)):
-            passed = False
-    return VerificationReport(passed, worst, witness, trials, checked=f"one-sided {sigma:g}-smooth")
+        return (x, u), lhs, rhs
+
+    return _sampled_check(draw, trials, seed, f"one-sided {sigma:g}-smooth")
 
 
 def verify_eta_local(
@@ -643,52 +662,29 @@ def verify_eta_local(
     and requires ``u' grad F(x + eps u) >= (1 - eta * eps) * u' grad F(x)``
     within slack at every sample.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    rng = np.random.default_rng(seed)
     n = obj.dimension
-    worst = -math.inf
-    witness = None
-    passed = True
-    for _ in range(trials):
+
+    def draw(rng):
         x = rng.uniform(size=n)
         u = rng.uniform(size=n)
         moving = u > 1e-12
         if not moving.any():
-            continue
-        eps_max = float(np.min((1.0 - x[moving]) / u[moving]))
-        eps_max = min(1.0, eps_max)
+            return None
+        eps_max = min(1.0, float(np.min((1.0 - x[moving]) / u[moving])))
         if eps_max <= 0.0:
-            continue
+            return None
         eps = rng.uniform(0.0, eps_max)
-        lhs = float(u @ obj.gradient(x + eps * u))
-        rhs = (1.0 - eta * eps) * float(u @ obj.gradient(x))
-        violation = rhs - lhs
-        if violation > worst:
-            worst = violation
-            witness = (x.copy(), u.copy(), eps)
-        if lhs < rhs - VALUE_TOL * (1.0 + abs(rhs)):
-            passed = False
-    return VerificationReport(passed, worst, witness, trials, checked=f"{eta:g}-local gradient")
+        moved = float(u @ obj.gradient(x + eps * u))
+        bound = (1.0 - eta * eps) * float(u @ obj.gradient(x))
+        # moved >= bound in the loop's lhs <= rhs form; negation is exact
+        return (x, u, eps), -moved, -bound
+
+    return _sampled_check(draw, trials, seed, f"{eta:g}-local gradient")
 
 
-@dataclass(frozen=True)
-class SemiMetricReport:
-    """Outcome of the exhaustive semi-metric triple check."""
-
-    passed: bool
-    worst_violation: float
-    witness: Optional[Tuple[int, int, int]]
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        where = f" at triple {self.witness}" if self.witness is not None and not self.passed else ""
-        return f"semi-metric: {status} (worst violation {self.worst_violation:.3e}){where}"
-
-
-def verify_semimetric(M, sigma: float, tol: float = 1e-9) -> SemiMetricReport:
+def verify_semimetric(M, sigma: float) -> VerificationReport:
     """Exhaustive check that ``M[i,j] <= sigma * (M[i,k] + M[k,j])``.
 
     Runs over all triples with ``k`` distinct from ``i`` and ``j`` (the
@@ -706,7 +702,7 @@ def verify_semimetric(M, sigma: float, tol: float = 1e-9) -> SemiMetricReport:
         raise ValueError("M must be a square matrix")
     n = M.shape[0]
     if n < 3:
-        return SemiMetricReport(True, -math.inf, None)
+        return VerificationReport(True, -math.inf, None, None, "semi-metric")
     idx = np.arange(n)
     rows = min(n, max(1, PRODUCT_BLOCK // (n * n)))
     residual = np.empty((rows, n, n))
@@ -727,6 +723,5 @@ def verify_semimetric(M, sigma: float, tol: float = 1e-9) -> SemiMetricReport:
         # argmax returns first, holds the place once taken
         if not math.isnan(worst) and not worst >= value:
             worst, witness = value, (start + int(a), int(j), int(k))
-    if worst > tol:
-        return SemiMetricReport(False, worst, witness)
-    return SemiMetricReport(True, worst, None)
+    passed = not worst > VALUE_TOL
+    return VerificationReport(passed, worst, None if passed else witness, None, "semi-metric")

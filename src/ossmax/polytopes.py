@@ -24,20 +24,21 @@ import numpy as np
 
 from .core import Vector
 
-DEFAULT_MEMBERSHIP_TOL = 1e-9
+# absolute slack of every membership comparison: box bounds, budget, chain pairs
+MEMBERSHIP_TOL = 1e-9
 
 
 class Polytope:
     """Base feasible region: the box ``{x : 0 <= x <= upper}``, ``upper`` in (0, 1]^n.
 
     The base answers the box part of every query.  A subclass overrides
-    :meth:`_satisfies_many` with its own rows, extends :meth:`room`,
-    :meth:`headroom` and :meth:`_lattice_prefixes` through ``super()`` with
-    the same rows in closed form, and sets ``max_l1_point`` (a feasible
-    point of maximal l1 norm; by default ``upper``) when its rows cut
-    ``upper`` off.  A subclass that adds rows without a lattice rule of its
-    own still gets exact answers: the base tests its complete lattice rows
-    with :meth:`_satisfies_many`.
+    ``_satisfies_many(X)`` with its own rows (slack ``MEMBERSHIP_TOL``, as for
+    the box), extends :meth:`room`, :meth:`headroom` and
+    :meth:`_lattice_prefixes` through ``super()`` with the same rows in closed
+    form, and sets ``max_l1_point`` (a feasible point of maximal l1 norm; by
+    default ``upper``) when its rows cut ``upper`` off.  A subclass that adds
+    rows without a lattice rule of its own still gets exact answers: the base
+    tests its complete lattice rows with :meth:`_satisfies_many`.
     """
 
     def __init__(self, dimension: int, upper=1.0):
@@ -51,19 +52,19 @@ class Polytope:
             raise ValueError("box upper bounds must lie in (0, 1]")
         self.max_l1_point: Vector = self.upper
 
-    def contains(self, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected a vector of length {self.dimension}, got shape {x.shape}")
-        return bool(self.contains_many(x[None], tol)[0])
+        return bool(self.contains_many(x[None])[0])
 
-    def contains_many(self, X, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
+    def contains_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise ValueError(f"expected an array of shape (*, {self.dimension})")
-        ok = np.all((X >= -tol) & (X <= self.upper + tol), axis=1)
+        ok = np.all((X >= -MEMBERSHIP_TOL) & (X <= self.upper + MEMBERSHIP_TOL), axis=1)
         if ok.any():
-            ok[ok] = self._satisfies_many(X[ok], tol)
+            ok[ok] = self._satisfies_many(X[ok])
         return ok
 
     def room(self, x) -> np.ndarray:
@@ -79,13 +80,13 @@ class Polytope:
         """
         return float(np.min(self.upper[members] - np.asarray(x, dtype=float)[members]))
 
-    def _lattice_prefixes(self, idx: np.ndarray, levels: np.ndarray, tol: float) -> np.ndarray:
+    def _lattice_prefixes(self, idx: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Mask of the index prefixes that a feasible lattice point may still complete.
 
         ``idx`` holds one prefix a row: lattice indices into ``levels`` for
         coordinates ``0..k``, where ``k`` was just assigned and every shorter
         prefix already passed.  ``levels`` is increasing, with gaps wider than
-        ``tol``.  The mask keeps each prefix of a point that
+        ``MEMBERSHIP_TOL``.  The mask keeps each prefix of a point that
         :meth:`contains_many` accepts; it may keep other prefixes, but on
         complete rows (``k = n - 1``) it keeps exactly the accepted points,
         so the grid oracle evaluates them without a membership test.  The box
@@ -95,13 +96,13 @@ class Polytope:
         tested with :meth:`_satisfies_many`.
         """
         k = idx.shape[1] - 1
-        top = np.count_nonzero(levels <= self.upper[k] + tol) - 1
+        top = np.count_nonzero(levels <= self.upper[k] + MEMBERSHIP_TOL) - 1
         if top == len(levels) - 1:  # skip the row test: chains and budgets grow ~10^5 rows a call
             keep = np.ones(len(idx), dtype=bool)
         else:
             keep = idx[:, k] <= top
         if k == self.dimension - 1 and not self._lattice_rule_covers_rows():
-            keep[keep] = self._satisfies_many(levels[idx[keep]], tol)
+            keep[keep] = self._satisfies_many(levels[idx[keep]])
         return keep
 
     @classmethod
@@ -116,7 +117,7 @@ class Polytope:
 
         return issubclass(owner("_lattice_prefixes"), owner("_satisfies_many"))
 
-    def _satisfies_many(self, X: np.ndarray, tol: float) -> np.ndarray:
+    def _satisfies_many(self, X: np.ndarray) -> np.ndarray:
         """Rows of ``X`` (each inside the box) that satisfy the region's own rows."""
         return np.ones(len(X), dtype=bool)
 
@@ -146,8 +147,8 @@ class CardinalityPolytope(Polytope):
             point[whole] = self.budget - whole
         self.max_l1_point = point
 
-    def _satisfies_many(self, X, tol):
-        return X.sum(axis=1) <= self.budget + tol
+    def _satisfies_many(self, X):
+        return X.sum(axis=1) <= self.budget + MEMBERSHIP_TOL
 
     def room(self, x):
         return np.minimum(super().room(x), self.budget - float(np.sum(x)))
@@ -156,21 +157,21 @@ class CardinalityPolytope(Polytope):
         fill = (self.budget - float(np.sum(x))) / len(members)
         return min(super().headroom(x, members), fill)
 
-    def _lattice_prefixes(self, idx, levels, tol):
+    def _lattice_prefixes(self, idx, levels):
         # levels[i] is i / resolution to a few ulp, so a row's sum lies within
         # a relative 1e-15 of its index sum / resolution: the index sum
         # decides, except within a relative 1e-12 of the bound (a tie), where
         # complete rows are summed as contains_many sums them
-        bound = (self.budget + tol) * (len(levels) - 1)
+        bound = (self.budget + MEMBERSHIP_TOL) * (len(levels) - 1)
         total = idx[:, 0].astype(np.uint32)
         for column in idx.T[1:]:
             total += column
-        keep = super()._lattice_prefixes(idx, levels, tol)
+        keep = super()._lattice_prefixes(idx, levels)
         keep &= total <= bound * (1.0 + 1e-12)
         if idx.shape[1] == self.dimension:
             tie = keep & (total >= bound * (1.0 - 1e-12))
             if tie.any():
-                keep[tie] = self._satisfies_many(levels[idx[tie]], tol)
+                keep[tie] = self._satisfies_many(levels[idx[tie]])
         return keep
 
     def describe(self):
@@ -199,8 +200,8 @@ class MonotoneLinearPolytope(Polytope):
         self._lo = np.array([p[0] for p in self.pairs])
         self._hi = np.array([p[1] for p in self.pairs])
 
-    def _satisfies_many(self, X, tol):
-        return np.all(X[:, self._lo] <= X[:, self._hi] + tol, axis=1)
+    def _satisfies_many(self, X):
+        return np.all(X[:, self._lo] <= X[:, self._hi] + MEMBERSHIP_TOL, axis=1)
 
     def room(self, x):
         # alone, a coordinate leaves every pair it is the low end of
@@ -219,10 +220,10 @@ class MonotoneLinearPolytope(Polytope):
             room = min(room, float(np.min(x[self._hi[leaving]] - x[self._lo[leaving]])))
         return room
 
-    def _lattice_prefixes(self, idx, levels, tol):
-        # levels more than tol apart: x_lo <= x_hi + tol holds iff idx_lo <= idx_hi
+    def _lattice_prefixes(self, idx, levels):
+        # levels more than the slack apart: x_lo <= x_hi + MEMBERSHIP_TOL iff idx_lo <= idx_hi
         k = idx.shape[1] - 1
-        keep = super()._lattice_prefixes(idx, levels, tol)
+        keep = super()._lattice_prefixes(idx, levels)
         for lo, hi in self.pairs:
             if max(lo, hi) == k:
                 keep &= idx[:, lo] <= idx[:, hi]

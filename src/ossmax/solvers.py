@@ -41,7 +41,7 @@ from .core import (
     check_finite,
 )
 from .objectives import OssObjective, StochasticObjective
-from .polytopes import DEFAULT_MEMBERSHIP_TOL, Polytope, opt_bounds
+from .polytopes import Polytope, opt_bounds
 
 GRID_POINT_BUDGET = 10_000_000
 
@@ -519,7 +519,7 @@ def _lattice_candidates(polytope: Polytope, levels: np.ndarray):
         grown[:, :, :k] = prefixes[:, None, :]
         grown[:, :, k] = digits
         grown = grown.reshape(-1, k + 1)
-        keep = polytope._lattice_prefixes(grown, levels, DEFAULT_MEMBERSHIP_TOL)
+        keep = polytope._lattice_prefixes(grown, levels)
         return grown if keep.all() else grown[keep]
 
     prefixes = np.empty((1, 0), dtype=digits.dtype)

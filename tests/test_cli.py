@@ -89,6 +89,15 @@ class TestSolve:
         rows = read_rows(out)
         assert float(rows[0]["value"]) >= 2.9
 
+    def test_zero_grid_optimum_prints_no_ratio(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        assert run(["generate", "--kind", "coverage", "--n", "3", "--seed", "1",
+                    "--weight-lo", "0", "--weight-hi", "0", "--out", str(path)]) == 0
+        out = tmp_path / "runs.csv"
+        assert run(["solve", str(path), "--out", str(out)]) == 0
+        assert "grid optimum  0.000000\nratio         n/a (grid optimum is 0)\n" in capsys.readouterr().out
+        assert read_rows(out)[0]["ratio"] == ""
+
     def test_missing_instance_exits_nonzero_without_csv(self, tmp_path, capsys):
         out = tmp_path / "runs.csv"
         code = run(["solve", str(tmp_path / "absent.json"), "--out", str(out)])
@@ -166,6 +175,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "witness triple" in out
 
+    def test_failing_semimetric_and_smoothness_print_both_witnesses(self, tmp_path, capsys):
+        path = tmp_path / "quad.json"
+        assert run(["generate", "--kind", "quadratic-semimetric", "--n", "4", "--seed", "3",
+                    "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["verify", str(path), "--sigma", "0", "--trials", "50"]) == 3
+        assert capsys.readouterr().out == (
+            "semi-metric: FAIL (worst violation 7.946e-01) at triple (0, 1, 2)\n"
+            "  witness triple (0, 1, 2): M[0,1]=0.794599 > 0*(M[0,2]+M[2,1])=0\n"
+            "one-sided 0-smooth: FAIL (worst violation 3.775e+00, 50 trials)\n"
+            "  witness x=[0.637  0.2698 0.041  0.0165] u=[0.8133 0.9128 0.6066 0.7295]\n"
+        )
+
+    def test_failing_locality_prints_its_witness_with_the_step(self, tmp_path, capsys):
+        path = tmp_path / "cov.json"
+        assert run(["generate", "--kind", "coverage", "--n", "3", "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["verify", str(path), "--eta", "0", "--trials", "200"]) == 3
+        assert capsys.readouterr().out == (
+            "one-sided 0-smooth: pass (worst violation -6.672e-05, 200 trials)\n"
+            "0-local gradient: FAIL (worst violation 1.355e+00, 200 trials)\n"
+            "  witness x=[0.1516 0.34   0.0132] u=[0.9316 0.321  0.8429] eps=0.8760\n"
+        )
+
     def test_eta_check_runs(self, tmp_path):
         path = tmp_path / "quad.json"
         assert run(["generate", "--kind", "quadratic-semimetric", "--n", "3", "--seed", "8",
@@ -203,6 +236,8 @@ class TestBench:
         assert rows[0]["error"] == "" and float(rows[0]["ratio"]) >= 0.99
         assert rows[1]["error"] != ""
         assert rows[2]["error"] == ""
+        # a row without a seed records seed 0 whether it runs or fails
+        assert [row["seed"] for row in rows] == ["0", "0", "0"]
         assert (out_dir / "summary.txt").exists()
 
     def test_row_sigma_defaults_to_the_instance_claim_as_in_solve(self, tmp_path):

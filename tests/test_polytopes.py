@@ -12,6 +12,7 @@ from ossmax import (
     make_semimetric_instance,
     opt_bounds,
 )
+from ossmax.polytopes import MEMBERSHIP_TOL
 
 from helpers import grid_max_brute
 
@@ -72,6 +73,30 @@ class TestMembership:
         many = p.contains_many(X)
         for row, ok in zip(X, many):
             assert p.contains(row) == bool(ok)
+
+
+class TestMembershipTolerance:
+    """Every membership comparison allows the same fixed slack, MEMBERSHIP_TOL."""
+
+    def test_value(self):
+        assert MEMBERSHIP_TOL == 1e-9
+
+    @pytest.mark.parametrize(
+        "p, inside, outward",
+        [
+            (BoxPolytope(2, [0.5, 1.0]), [0.5, 0.25], [1.0, 0.0]),
+            (BoxPolytope(2, [0.5, 1.0]), [0.0, 0.25], [-1.0, 0.0]),
+            (CardinalityPolytope(3, 1), [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]),
+            (MonotoneLinearPolytope(2, [(0, 1)]), [0.5, 0.5], [1.0, 0.0]),
+        ],
+        ids=["box-upper", "box-lower", "cardinality", "chain"],
+    )
+    @pytest.mark.parametrize("past, accepted", [(0.5, True), (2.0, False)])
+    def test_point_past_one_row(self, p, inside, outward, past, accepted):
+        # ``inside`` lies on the row; ``x`` is ``past`` tolerances beyond it
+        x = np.asarray(inside) + past * MEMBERSHIP_TOL * np.asarray(outward)
+        assert p.contains(x) == accepted
+        assert p.contains_many(np.array([inside, x])).tolist() == [True, accepted]
 
 
 @st.composite

@@ -38,7 +38,7 @@ from ossmax import (
 )
 
 from ossmax.core import STEP_TOL, VALUE_TOL
-from ossmax.polytopes import DEFAULT_MEMBERSHIP_TOL
+from ossmax.polytopes import MEMBERSHIP_TOL
 from ossmax.solvers import _Exact, _lambda_floor, _lattice_candidates, _line_search
 
 from helpers import grid_max_brute, iter_grid
@@ -394,7 +394,7 @@ class TestParallelGreedy:
         # the membership tolerance of it: no step search could take a step,
         # so no coordinate counts as movable and the sweep never starts
         obj = linear_objective(3, [1.0, 2.0, 3.0])
-        cfg = SolverConfig(alpha=1.0 - (STEP_TOL - 0.5 * DEFAULT_MEMBERSHIP_TOL), epsilon=0.1)
+        cfg = SolverConfig(alpha=1.0 - (STEP_TOL - 0.5 * MEMBERSHIP_TOL), epsilon=0.1)
         start = cfg.alpha * p.max_l1_point
         sol = parallel_greedy(obj, p, cfg)
         assert sol.trace.adaptive_rounds == sol.trace.gradient_queries == 0
@@ -700,15 +700,15 @@ class _HalfSpace(Polytope):
         super().__init__(len(a))
         self.a = np.asarray(a, dtype=float)
 
-    def _satisfies_many(self, X, tol):
-        return X @ self.a <= 1.0 + tol
+    def _satisfies_many(self, X):
+        return X @ self.a <= 1.0 + MEMBERSHIP_TOL
 
 
 # offsets of a bound from a lattice value, in lattice steps: on it, inside
 # and outside the membership tolerance, and a fraction of a step away
 _NEAR_LATTICE = [0.0, 1e-10, -1e-10, 1e-7, -1e-7, 0.37, -0.37]
 
-# relative offsets of budget + tol from a lattice sum inside the cardinality
+# relative offsets of budget + MEMBERSHIP_TOL from a lattice sum inside the cardinality
 # rule's (1 +- 1e-12) tie window: on it up to rounding, just below, just above
 _TIES = [0.0, -5e-13, 5e-13]
 
@@ -736,7 +736,7 @@ def grid_cases(draw):
         if budget == "near":
             return CardinalityPolytope(n, near_lattice(n * resolution)), resolution
         j = draw(st.integers(1, n * resolution))
-        tied = j / resolution * (1.0 + draw(st.sampled_from(_TIES))) - DEFAULT_MEMBERSHIP_TOL
+        tied = j / resolution * (1.0 + draw(st.sampled_from(_TIES))) - MEMBERSHIP_TOL
         return CardinalityPolytope(n, tied), resolution
     if kind == "bare":
         return _HalfSpace(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))), resolution
@@ -794,9 +794,9 @@ class TestGridExactness:
         assert _candidates(p, resolution) == _accepted(p, resolution)
 
     def test_budget_tie_is_decided_as_membership_does(self):
-        # budget + tol = 0.5 (1 - 5e-13): the index sum 5 lies inside the tie
+        # budget + MEMBERSHIP_TOL = 0.5 (1 - 5e-13): the index sum 5 lies inside the tie
         # window, and 0.5 + 0.0 lies above the bound
-        p = CardinalityPolytope(2, 0.5 * (1 - 5e-13) - DEFAULT_MEMBERSHIP_TOL)
+        p = CardinalityPolytope(2, 0.5 * (1 - 5e-13) - MEMBERSHIP_TOL)
         assert not p.contains([0.5, 0.0])
         candidates = _candidates(p, 10)
         assert (5, 0) not in candidates
@@ -810,12 +810,12 @@ class TestGridExactness:
         assert fast == pytest.approx(1.349, abs=5e-4)
 
     def test_every_budget_on_a_lattice_sum_keeps_exactly_the_feasible_points(self):
-        # budget + tol equals j / resolution up to rounding: a float tie, where
+        # budget + MEMBERSHIP_TOL equals j / resolution up to rounding: a float tie, where
         # the index total and the row sum can disagree
         for n in (2, 3):
             for resolution in range(1, 11):
                 for j in range(1, n * resolution + 1):
-                    p = CardinalityPolytope(n, j / resolution - DEFAULT_MEMBERSHIP_TOL)
+                    p = CardinalityPolytope(n, j / resolution - MEMBERSHIP_TOL)
                     assert _candidates(p, resolution) == _accepted(p, resolution), (n, resolution, j)
 
     @pytest.mark.parametrize(
