@@ -27,7 +27,7 @@ import numpy as np
 from .core import VALUE_TOL, SolverError, Vector, check_finite
 
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
-DRAW_BLOCK = 1 << 20  # uniform draws per block of rows in make_coverage_instance
+DRAW_BLOCK = 1 << 16  # uniform draws (512 KB) per block of rows in make_coverage_instance
 SYMMETRY_TILE = 128  # rows and columns per tile of the quadratic's symmetry check
 VALUE_MANY_CHUNK = 100_000  # entries of the temporaries per batch of value_many rows
 # The quadratic's product Mx runs over the rows of x's support when
@@ -223,6 +223,11 @@ class QuadraticSemiMetricObjective(OssObjective):
         # NaN failed the symmetry check, so M's minimum is a number
         if (M.size and M.min() < 0.0) or np.any(b < 0.0):
             raise ValueError("M and b must be nonnegative")
+        self._adopt(M, b, sigma, label)
+
+    def _adopt(self, M: np.ndarray, b: np.ndarray, sigma: float, label: str) -> None:
+        """Take a valid C-contiguous float64 ``M`` as is and a copy of ``b``."""
+        n = len(M)
         self.M = M
         self.b = b.copy()
         self._row_sums = self.M @ np.ones(n)  # the product at the all-ones point
@@ -311,13 +316,20 @@ class CoverageMultilinearObjective(OssObjective):
         if n < 1:
             raise ValueError("at least one coordinate is required")
         m = len(weights)
-        self.weights = weights.copy()
-        self.covers = [tuple(sorted(map(int, elements))) for elements in covers]
-        for i, cover in enumerate(self.covers):
+        covers = [tuple(sorted(map(int, elements))) for elements in covers]
+        for i, cover in enumerate(covers):
             if cover and not (0 <= cover[0] and cover[-1] < m):
                 raise ValueError(f"coordinate {i} covers unknown element {cover[0] if cover[0] < 0 else cover[-1]}")
-        # (element, coordinate) pairs sorted by element, each pair once
-        keys = np.array(sorted({e * n + i for i, cover in enumerate(self.covers) for e in cover}), dtype=np.intp)
+        keys = np.array(sorted({e * n + i for i, cover in enumerate(covers) for e in cover}), dtype=np.intp)
+        self._adopt(weights, covers, keys, label)
+
+    def _adopt(self, weights: np.ndarray, covers: list, keys: np.ndarray, label: str) -> None:
+        """Take valid sorted cover tuples as is, a copy of ``weights``, and
+        the incidence as its sorted keys ``element * n + coordinate``, each
+        pair once."""
+        n = len(covers)
+        self.weights = weights.copy()
+        self.covers = covers
         rows, self._cols = np.divmod(keys, n)
         first = np.empty(len(rows), dtype=bool)
         first[:1] = True
@@ -416,24 +428,37 @@ def _distances(pts: np.ndarray) -> np.ndarray:
     straight into the output and the rest are added from one reused buffer,
     so no temporary as large as the n x n result is made.  The output is
     written once and never zero-filled first; points with no coordinates are
-    all at distance 0."""
+    all at distance 0.  Entry ``(j, i)`` is computed from the same terms as
+    ``(i, j)``, and ``(a - b)**2 == (b - a)**2`` exactly, so finite points
+    give an exactly symmetric matrix of entries that are ``+0`` or more
+    (``+inf`` where a square overflows), never NaN."""
     n, dim = pts.shape
     if dim == 0:
         return np.zeros((n, n))
     out = np.empty((n, n))
     rows = max(1, PRODUCT_BLOCK // n)
     buffer = np.empty((rows, n))
+    columns = np.ascontiguousarray(pts.T)  # each point dimension read contiguously
     for start in range(0, n, rows):
-        block = pts[start : start + rows]
+        block = columns[:, start : start + rows]
         sq = out[start : start + rows]
         d = buffer[: len(sq)]
-        np.subtract.outer(block[:, 0], pts[:, 0], out=sq)
+        np.subtract.outer(block[0], columns[0], out=sq)
         np.multiply(sq, sq, out=sq)  # bit for bit 0 + sq, as sq >= +0
         for k in range(1, dim):
-            np.subtract.outer(block[:, k], pts[:, k], out=d)
+            np.subtract.outer(block[k], columns[k], out=d)
             sq += np.multiply(d, d, out=d)
         np.sqrt(sq, out=sq)
     return out
+
+
+def _adopted(cls, *data):
+    """An objective of ``cls`` made by its ``_adopt`` step alone, for data
+    that a generator has made valid by construction; outside input goes
+    through the validating constructor."""
+    obj = cls.__new__(cls)
+    obj._adopt(*data)
+    return obj
 
 
 def make_semimetric_instance(points, b) -> QuadraticSemiMetricObjective:
@@ -445,16 +470,26 @@ def make_semimetric_instance(points, b) -> QuadraticSemiMetricObjective:
     point dimensions in order, which is ``np.linalg.norm``'s order for fewer
     than eight dimensions, so ``M`` matches it bit for bit there (NumPy sums
     eight or more terms pairwise, and entries may differ in the last bit).
+
+    Only the points (finite) and ``b`` (length n, nonnegative) are checked,
+    in O(n * dim).  Finite points make ``M`` exactly symmetric and
+    nonnegative (see ``_distances``), so the constructor's n^2 symmetry and
+    sign checks are skipped; a NaN or infinite point, which would put NaN
+    on the diagonal, is rejected.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("at least two points are required")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     b = np.asarray(b, dtype=float)
     if b.shape != (pts.shape[0],):
         raise ValueError(f"b must have length {pts.shape[0]}, got shape {b.shape}")
-    return QuadraticSemiMetricObjective(_distances(pts), b, sigma=1.0)
+    if np.any(b < 0.0):
+        raise ValueError("b must be nonnegative")
+    return _adopted(QuadraticSemiMetricObjective, _distances(pts), b, 1.0, "quadratic-semimetric")
 
 
 def make_coverage_instance(
@@ -468,8 +503,13 @@ def make_coverage_instance(
     probability ``density``; elements left uncovered are resampled.
 
     The element-by-coordinate draw is made a block of rows at a time and only
-    the covered pairs are kept, so no m x n array is built; the random stream
-    is the one a single m x n draw would consume."""
+    the covered pairs are kept, as keys ``element * n + coordinate``, so no
+    m x n array is built; the random stream is the one a single m x n draw
+    would consume.  Only the arguments are checked: every key is drawn once
+    and lies in range, so the keys, sorted once, and the cover tuples read
+    from them are handed to the objective without the constructor's checks
+    and its rebuild of the pairs.
+    """
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
     if not 0.0 < density <= 1.0:
@@ -479,22 +519,25 @@ def make_coverage_instance(
         raise ValueError(f"invalid weight range {weight_range}")
     rng = np.random.default_rng(seed)
     block_rows = max(1, DRAW_BLOCK // n)
-    covers = [[] for _ in range(n)]
-    uncovered = []
+    keys, uncovered = [], []
     for start in range(0, m, block_rows):
         hit = rng.random((min(block_rows, m - start), n)) < density
         uncovered.extend((np.flatnonzero(~hit.any(axis=1)) + start).tolist())
-        rows, cols = np.divmod(np.flatnonzero(hit), n)
-        for e, i in zip((rows + start).tolist(), cols.tolist()):
-            covers[i].append(e)
+        keys.append(np.flatnonzero(hit) + start * n)
     for e in uncovered:
         hit = rng.random(n) < density
         while not hit.any():
             hit = rng.random(n) < density
-        for i in np.flatnonzero(hit).tolist():
-            covers[i].append(e)
+        keys.append(np.flatnonzero(hit) + e * n)
+    keys = np.sort(np.concatenate(keys))
     weights = rng.uniform(lo, hi, size=m)
-    return CoverageMultilinearObjective(weights, covers)  # sorts each cover list
+    # each coordinate's elements, in order: a stable sort of the pairs by
+    # coordinate keeps the element order of the keys
+    elements, coordinates = np.divmod(keys, n)
+    by_coordinate = elements[np.argsort(coordinates, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(coordinates, minlength=n)).tolist()
+    covers = [tuple(by_coordinate[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return _adopted(CoverageMultilinearObjective, weights, covers, keys, "coverage")
 
 
 def random_semimetric_instance(
@@ -695,7 +738,7 @@ def verify_semimetric(M, sigma: float) -> VerificationReport:
     blocks of about ``PRODUCT_BLOCK`` entries of ``i`` rows (at least one row
     of n^2), so memory stays O(n^2).  The witness is the first largest
     residual in ``(i, j, k)`` order, or the first NaN, as one argmax over
-    all of them would give.
+    all of them would give; a NaN residual fails the check.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -723,5 +766,5 @@ def verify_semimetric(M, sigma: float) -> VerificationReport:
         # argmax returns first, holds the place once taken
         if not math.isnan(worst) and not worst >= value:
             worst, witness = value, (start + int(a), int(j), int(k))
-    passed = not worst > VALUE_TOL
+    passed = worst <= VALUE_TOL  # a NaN residual fails
     return VerificationReport(passed, worst, None if passed else witness, None, "semi-metric")

@@ -383,7 +383,9 @@ def parallel_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) ->
     oracle = _Exact(obj, cfg, trace)
     x = cfg.alpha * polytope.max_l1_point
     bounds = opt_bounds(oracle, polytope)
-    return _threshold_sweep(polytope, cfg, trace, oracle, x, cfg.alpha, oracle.value(x), bounds)
+    # at alpha = 1 the start is the max-l1 point, whose value is the lower bound
+    fx = bounds[0] if cfg.alpha == 1.0 else oracle.value(x)
+    return _threshold_sweep(polytope, cfg, trace, oracle, x, cfg.alpha, fx, bounds)
 
 
 def stochastic_parallel_greedy(

@@ -170,7 +170,7 @@ def _dense_semimetric_report(M, sigma, tol=1e-9):
     residual[:, idx, idx] = -math.inf
     i, j, k = np.unravel_index(int(np.argmax(residual)), residual.shape)
     worst = float(residual[i, j, k])
-    return worst > tol, worst, (int(i), int(j), int(k))
+    return not worst <= tol, worst, (int(i), int(j), int(k))  # a NaN residual fails
 
 
 class TestVerifySemimetricBlocks:
@@ -192,6 +192,19 @@ class TestVerifySemimetricBlocks:
         assert report.passed is not failed
         assert report.worst_violation == worst or (math.isnan(worst) and math.isnan(report.worst_violation))
         assert report.witness == (witness if failed else None)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.0])
+    def test_nan_entry_fails_at_the_first_nan_triple(self, n, sigma):
+        rng = np.random.default_rng(n)
+        M = random_semimetric_instance(n, seed=n).M.copy()
+        i, j = rng.choice(n, size=2, replace=False)
+        M[i, j] = math.nan
+        report = verify_semimetric(M, sigma)
+        # the dense argmax stops at the first NaN residual
+        failed, worst, witness = _dense_semimetric_report(M, sigma)
+        assert failed and math.isnan(worst)
+        assert not report.passed and math.isnan(report.worst_violation) and report.witness == witness
 
     def test_memory_stays_quadratic(self):
         M = random_semimetric_instance(200, seed=5).M
@@ -508,6 +521,72 @@ class TestCoverageGeneratorStream:
         digest = hashlib.sha256(json.dumps([list(c) for c in obj.covers]).encode())
         digest.update(obj.weights.astype("<f8").tobytes())
         assert digest.hexdigest() == "723523a3c29aa74e6a7530fcfac0fe71357cddfc93f0b248fa60e70d72574512"
+
+
+class TestGeneratorsMatchConstructors:
+    """The generators skip the constructors' checks on data that is valid by
+    construction; what they build must equal the validating constructor's
+    objective on the same data, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_coverage(self, data):
+        n = data.draw(st.sampled_from([1, 2, 5, 300, 1000, 70_000]))
+        # a draw block holds `rows` rows; from n = 300 on, m lies below, at and
+        # past one and two blocks
+        rows = max(1, ossmax.objectives.DRAW_BLOCK // n)
+        if n < 300:
+            m = data.draw(st.integers(1, 400))
+        else:
+            m = data.draw(st.sampled_from(sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 3})))
+        # at half an expected cover per element, about 60% of the elements
+        # take the resample path
+        density = data.draw(st.sampled_from([min(1.0, 0.5 / n), 3.0 / (n + 2), 0.4, 1.0]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        obj = make_coverage_instance(n, m, density=density, seed=seed)
+        ref = CoverageMultilinearObjective(obj.weights, obj.covers)
+        assert obj.covers == ref.covers
+        for name in ("weights", "_cols", "_starts", "_segment", "_covered_weights"):
+            mine, theirs = getattr(obj, name), getattr(ref, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+        # points of [0, 1]^n with coordinates at exactly 0 and 1 mixed in
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(3, n))
+        X[rng.uniform(size=(3, n)) < 0.2] = 0.0
+        X[rng.uniform(size=(3, n)) < 0.2] = 1.0
+        assert obj.value_many(X).tobytes() == ref.value_many(X).tobytes()
+        for x in X:
+            assert obj.value(x) == ref.value(x)
+            assert obj.gradient(x).tobytes() == ref.gradient(x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_quadratic(self, data):
+        n = data.draw(st.sampled_from([2, 3, 7, 130, 600]))
+        dim = data.draw(st.integers(0, 9))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # far-apart points overflow a square to +inf, tiny ones underflow to 0
+        scale = data.draw(st.sampled_from([1.0, 1e-300, 1e154, 1e200]))
+        points = rng.uniform(-1.0, 1.0, size=(n, dim)) * scale
+        points[rng.integers(0, n, size=n // 3)] = points[0]  # coincident points
+        with np.errstate(over="ignore"):
+            obj = make_semimetric_instance(points, rng.uniform(0.0, 2.0, size=n))
+        ref = QuadraticSemiMetricObjective(obj.M.copy(), obj.b)
+        for name in ("M", "b", "_row_sums"):
+            assert getattr(obj, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (obj.dimension, obj.sigma_claimed, obj.label) == (ref.dimension, ref.sigma_claimed, ref.label)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_nonfinite_points_are_rejected(self, entry, dim):
+        points = np.random.default_rng(dim).random((5, dim))
+        points[2, dim - 1] = entry
+        with pytest.raises(ValueError):
+            make_semimetric_instance(points, np.ones(5))
+
+    def test_negative_b_is_rejected(self):
+        with pytest.raises(ValueError):
+            make_semimetric_instance([0.0, 1.0, 3.0], [1.0, -0.5, 1.0])
 
 
 @pytest.fixture(scope="module")

@@ -336,6 +336,24 @@ class TestParallelGreedy:
                 elif g[i] < cutoff - cutoff_slack:
                     assert i not in chosen
 
+    @pytest.mark.parametrize(
+        "region, values",
+        [
+            (BoxPolytope(5, 0.6), 1),
+            (CardinalityPolytope(5, 2.5), 2),  # and the all-ones upper bound
+            (MonotoneLinearPolytope(5, [(0, 1), (1, 2)]), 1),
+        ],
+    )
+    def test_alpha_one_start_is_valued_once(self, region, values):
+        # the start is the max-l1 point, which opt_bounds values as its lower bound
+        obj = random_semimetric_instance(5, seed=3)
+        valued, impl = [], obj._value_impl
+        obj._value_impl = lambda x: valued.append(x.tobytes()) or impl(x)
+        sol = parallel_greedy(obj, region, SolverConfig(epsilon=0.1, sigma=1.0, alpha=1.0))
+        assert valued.count(region.max_l1_point.tobytes()) == 1
+        assert sol.trace.value_queries == obj.value_calls == values
+        assert sol.value == opt_bounds(obj, region)[0]
+
     def test_counter_reconciliation(self):
         obj = make_coverage_instance(4, 6, density=0.5, seed=13)
         p = CardinalityPolytope(4, 2)
