@@ -506,9 +506,10 @@ class TestCoverageGeneratorStream:
     every seeded instance, of one m x n draw."""
 
     @pytest.mark.parametrize("seed", sorted(PINNED_COVERAGE))
-    @pytest.mark.parametrize("block", [ossmax.objectives.DRAW_BLOCK, 5, 12])
+    @pytest.mark.parametrize("block", [1 << 20, ossmax.objectives.DRAW_BLOCK, 5, 12])
     def test_pinned_instances(self, seed, block, monkeypatch):
-        # blocks of 5 and 12 draws hold one and two rows of 5
+        # blocks of 5 and 12 draws hold one and two rows of 5; 2**20, the
+        # former default, and the default hold the whole instance
         monkeypatch.setattr(ossmax.objectives, "DRAW_BLOCK", block)
         obj = make_coverage_instance(5, 7, density=0.4, seed=seed)
         covers, weights = PINNED_COVERAGE[seed]
