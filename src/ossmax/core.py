@@ -49,7 +49,7 @@ def contraction_factor(alpha: float, sigma: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ConfigError(f"sigma must be nonnegative, got {sigma}")
     return (alpha / (alpha + 1.0)) ** (2.0 * sigma)
 
@@ -87,16 +87,16 @@ class SolverConfig:
         contraction_factor(self.alpha, self.sigma)  # validates alpha, sigma
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ConfigError(f"eta must be nonnegative, got {self.eta}")
-        if self.spg_batch < 1:
+        if not self.spg_batch >= 1:
             raise ConfigError(f"spg_batch must be a positive integer, got {self.spg_batch}")
         for name in ("lipschitz_L", "diameter_D", "noise_theta"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.max_outer_rounds is None:
             object.__setattr__(self, "max_outer_rounds", default_outer_round_cap(self.epsilon))
-        elif self.max_outer_rounds < 1:
+        elif not self.max_outer_rounds >= 1:
             raise ConfigError(f"max_outer_rounds must be positive, got {self.max_outer_rounds}")
 
     @property

@@ -28,7 +28,6 @@ from .core import VALUE_TOL, SolverError, Vector, check_finite
 
 FD_STEP = 1e-4  # central-difference step for the Hessian fallback
 DRAW_BLOCK = 1 << 16  # uniform draws (512 KB) per block of rows in make_coverage_instance
-SYMMETRY_TILE = 128  # rows and columns per tile of the quadratic's symmetry check
 VALUE_MANY_CHUNK = 100_000  # entries of the temporaries per batch of value_many rows
 # The quadratic's product Mx runs over the rows of x's support when
 # SUPPORT_SHARE * |supp x| <= n and n >= SUPPORT_MIN_DIMENSION, in blocks of
@@ -76,7 +75,10 @@ class OssObjective:
     ``hessian_quadratic_fn`` stand in for the hooks of that one instance, and
     a value and a gradient are required one way or the other.  Without a
     quadratic form the objective falls back to a central second difference
-    along ``u``, meant for verification, not for solver hot paths.  A
+    along ``u``, meant for verification, not for solver hot paths.
+    ``value_many`` calls ``value`` on each row, so a batch is checked and
+    counted as single values are; a family may override it with a batched
+    evaluation.  Oracle errors name the objective's class.  A
     family's hooks are methods, not stored callables, so nothing its
     objective holds refers back to it and a dropped objective is freed at
     once, without waiting for the cyclic collector.
@@ -91,7 +93,6 @@ class OssObjective:
         gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         hessian_quadratic_fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
         sigma_claimed: float = 0.0,
-        label: str = "objective",
     ):
         hooks = {"_value_impl": value_fn, "_gradient_impl": gradient_fn, "_quad_impl": hessian_quadratic_fn}
         for hook, fn in hooks.items():
@@ -101,11 +102,10 @@ class OssObjective:
             raise TypeError("an objective needs a value function and a gradient function")
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
-        if sigma_claimed < 0.0:
+        if not sigma_claimed >= 0.0:
             raise ValueError("sigma_claimed must be nonnegative")
         self.dimension = int(dimension)
         self.sigma_claimed = float(sigma_claimed)
-        self.label = label
         self._value_calls = _CallCounter()
         self._gradient_calls = _CallCounter()
 
@@ -132,7 +132,7 @@ class OssObjective:
         self._value_calls.bump()
         v = float(self._value_impl(x))
         if not math.isfinite(v):
-            raise SolverError(f"{self.label}: value oracle returned {v}")
+            raise SolverError(f"{type(self).__name__}: value oracle returned {v}")
         return v
 
     def gradient(self, x) -> Vector:
@@ -140,8 +140,8 @@ class OssObjective:
         self._gradient_calls.bump()
         g = np.asarray(self._gradient_impl(x), dtype=float)
         if g.shape != (self.dimension,):
-            raise SolverError(f"{self.label}: gradient oracle returned shape {g.shape}")
-        return check_finite(g, f"{self.label}: gradient oracle")
+            raise SolverError(f"{type(self).__name__}: gradient oracle returned shape {g.shape}")
+        return check_finite(g, f"{type(self).__name__}: gradient oracle")
 
     def hessian_quadratic_form(self, x, u) -> float:
         x = self._coerce(x)
@@ -152,32 +152,9 @@ class OssObjective:
         return (self.value(x + h * u) - 2.0 * self.value(x) + self.value(x - h * u)) / (h * h)
 
     def value_many(self, X) -> np.ndarray:
-        """Vectorized batch evaluation; counts one invocation per row."""
-        X = np.asarray(X, dtype=float)
-        self._value_calls.bump(len(X))
-        return np.array([float(self._value_impl(row)) for row in X])
-
-
-def _is_symmetric(M: np.ndarray) -> bool:
-    """``np.allclose(M, M.T)``, tested one pair of mirrored tiles at a time.
-
-    Tile ``(I, J)`` of ``M.T`` is tile ``(J, I)`` of ``M`` transposed.  A pair
-    that is exactly equal passes at once; otherwise it is tested with
-    ``allclose`` in both directions (``allclose`` is not symmetric in its
-    arguments), and a diagonal tile covers both directions in one test.  NaN
-    is never equal, so it reaches ``allclose`` and fails as in
-    ``np.allclose``.  Small tiles keep the temporaries in cache.
-    """
-    n, tile = len(M), SYMMETRY_TILE
-    for i in range(0, n, tile):
-        for j in range(i, n, tile):
-            upper = M[i : i + tile, j : j + tile]
-            lower = M[j : j + tile, i : i + tile].T
-            if np.array_equal(upper, lower):
-                continue
-            if not np.allclose(upper, lower) or (j > i and not np.allclose(lower, upper)):
-                return False
-    return True
+        """Batch evaluation: ``value`` on each row, so each row is checked
+        and counted as one invocation."""
+        return np.array([self.value(row) for row in X], dtype=float)
 
 
 class QuadraticSemiMetricObjective(OssObjective):
@@ -207,10 +184,12 @@ class QuadraticSemiMetricObjective(OssObjective):
     ``self.M`` itself, and any other input is converted once to a C-ordered
     float64 array.  Changing the caller's array after construction is not
     supported, since the row sums and the kept product are taken from it.
-    ``b`` is copied.
+    ``b`` is copied.  The constructor requires ``np.allclose(M, M.T)`` and
+    every entry of ``M`` and ``b`` at least 0, so NaN is rejected and +inf
+    accepted.
     """
 
-    def __init__(self, M, b, sigma: float = 1.0, label: str = "quadratic-semimetric"):
+    def __init__(self, M, b, sigma: float = 1.0):
         M = np.ascontiguousarray(M, dtype=float)
         b = np.asarray(b, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -218,14 +197,13 @@ class QuadraticSemiMetricObjective(OssObjective):
         n = M.shape[0]
         if b.shape != (n,):
             raise ValueError(f"b must have length {n}, got shape {b.shape}")
-        if not _is_symmetric(M):
+        if not np.allclose(M, M.T):
             raise ValueError("M must be symmetric")
-        # NaN failed the symmetry check, so M's minimum is a number
-        if (M.size and M.min() < 0.0) or np.any(b < 0.0):
+        if not ((M >= 0.0).all() and (b >= 0.0).all()):
             raise ValueError("M and b must be nonnegative")
-        self._adopt(M, b, sigma, label)
+        self._adopt(M, b, sigma)
 
-    def _adopt(self, M: np.ndarray, b: np.ndarray, sigma: float, label: str) -> None:
+    def _adopt(self, M: np.ndarray, b: np.ndarray, sigma: float) -> None:
         """Take a valid C-contiguous float64 ``M`` as is and a copy of ``b``."""
         n = len(M)
         self.M = M
@@ -234,7 +212,7 @@ class QuadraticSemiMetricObjective(OssObjective):
         # (bytes of the last point, its product), replaced whole so that a
         # reader never pairs one point with another point's product
         self._memo = (None, None)
-        super().__init__(n, sigma_claimed=sigma, label=label)
+        super().__init__(n, sigma_claimed=sigma)
 
     def reset_counters(self) -> None:
         """Zero the counters and drop the kept product, so that the queries
@@ -306,11 +284,11 @@ class CoverageMultilinearObjective(OssObjective):
     divided by, so coordinates at exactly 1 are handled exactly.
     """
 
-    def __init__(self, weights, covers: Sequence[Sequence[int]], label: str = "coverage"):
+    def __init__(self, weights, covers: Sequence[Sequence[int]]):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) < 1:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(weights < 0.0):
+        if not (weights >= 0.0).all():
             raise ValueError("weights must be nonnegative")
         n = len(covers)
         if n < 1:
@@ -321,9 +299,9 @@ class CoverageMultilinearObjective(OssObjective):
             if cover and not (0 <= cover[0] and cover[-1] < m):
                 raise ValueError(f"coordinate {i} covers unknown element {cover[0] if cover[0] < 0 else cover[-1]}")
         keys = np.array(sorted({e * n + i for i, cover in enumerate(covers) for e in cover}), dtype=np.intp)
-        self._adopt(weights, covers, keys, label)
+        self._adopt(weights, covers, keys)
 
-    def _adopt(self, weights: np.ndarray, covers: list, keys: np.ndarray, label: str) -> None:
+    def _adopt(self, weights: np.ndarray, covers: list, keys: np.ndarray) -> None:
         """Take valid sorted cover tuples as is, a copy of ``weights``, and
         the incidence as its sorted keys ``element * n + coordinate``, each
         pair once."""
@@ -338,7 +316,7 @@ class CoverageMultilinearObjective(OssObjective):
         covered = rows[self._starts]
         self._segment = np.searchsorted(covered, rows)  # covered element of each pair
         self._covered_weights = self.weights[covered]
-        super().__init__(n, sigma_claimed=0.0, label=label)
+        super().__init__(n, sigma_claimed=0.0)
 
     def _factors(self, x):
         """Each pair's factor ``1 - x_i`` with exact zeros replaced by 1, the
@@ -487,9 +465,9 @@ def make_semimetric_instance(points, b) -> QuadraticSemiMetricObjective:
     b = np.asarray(b, dtype=float)
     if b.shape != (pts.shape[0],):
         raise ValueError(f"b must have length {pts.shape[0]}, got shape {b.shape}")
-    if np.any(b < 0.0):
+    if not (b >= 0.0).all():
         raise ValueError("b must be nonnegative")
-    return _adopted(QuadraticSemiMetricObjective, _distances(pts), b, 1.0, "quadratic-semimetric")
+    return _adopted(QuadraticSemiMetricObjective, _distances(pts), b, 1.0)
 
 
 def make_coverage_instance(
@@ -515,7 +493,7 @@ def make_coverage_instance(
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     lo, hi = weight_range
-    if lo < 0.0 or hi < lo:
+    if not 0.0 <= lo <= hi < math.inf:
         raise ValueError(f"invalid weight range {weight_range}")
     rng = np.random.default_rng(seed)
     block_rows = max(1, DRAW_BLOCK // n)
@@ -537,7 +515,7 @@ def make_coverage_instance(
     by_coordinate = elements[np.argsort(coordinates, kind="stable")].tolist()
     ends = np.cumsum(np.bincount(coordinates, minlength=n)).tolist()
     covers = [tuple(by_coordinate[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-    return _adopted(CoverageMultilinearObjective, weights, covers, keys, "coverage")
+    return _adopted(CoverageMultilinearObjective, weights, covers, keys)
 
 
 def random_semimetric_instance(
@@ -563,12 +541,14 @@ class StochasticObjective:
     half-width ``theta * sqrt(3/n)`` on each coordinate (total variance
     ``theta**2``), and a value sample adds noise of half-width
     ``theta * sqrt(3)`` (variance ``theta**2``), so an empirical mean is
-    within ``theta * sqrt(3)`` of ``F(x)``.  Counters tally gradient samples
-    and empirical-value batches so solver accounting can be audited.
+    within ``theta * sqrt(3)`` of ``F(x)``.  The noise is drawn the same way
+    for every ``theta``; at ``theta = 0`` the draws are exact zeros.
+    Counters tally gradient samples and empirical-value batches so solver
+    accounting can be audited.
     """
 
     def __init__(self, ground_truth: OssObjective, theta: float, seed=None):
-        if theta < 0.0:
+        if not theta >= 0.0:
             raise ValueError("theta must be nonnegative")
         self.ground_truth = ground_truth
         self.theta = float(theta)
@@ -597,17 +577,12 @@ class StochasticObjective:
         seed = self._rng.bit_generator.seed_seq.spawn(1)[0]
         return StochasticObjective(self.ground_truth, self.theta, seed=seed)
 
-    def _gradient_noise(self, n: int) -> np.ndarray:
-        if self.theta == 0.0:
-            return np.zeros(n)
-        half_width = self.theta * math.sqrt(3.0 / n)
-        return self._rng.uniform(-half_width, half_width, size=n)
-
     def sample_gradient(self, x) -> Vector:
         """One noisy gradient sample; counts one gradient query."""
         self._gradient_samples.bump()
         g = self.ground_truth.gradient(x)
-        return g + self._gradient_noise(len(g))
+        half_width = self.theta * math.sqrt(3.0 / len(g))
+        return g + self._rng.uniform(-half_width, half_width, size=len(g))
 
     def empirical_value(self, x, n_samples: int) -> float:
         """Mean of ``n_samples`` value samples; counts one batch query."""
@@ -615,8 +590,6 @@ class StochasticObjective:
             raise ValueError("n_samples must be at least 1")
         self._value_batches.bump()
         base = self.ground_truth.value(x)
-        if self.theta == 0.0:
-            return base
         draws = self._rng.uniform(-self.theta * math.sqrt(3.0), self.theta * math.sqrt(3.0), size=n_samples)
         return base + float(draws.mean())
 
@@ -677,7 +650,7 @@ def verify_oss(
     ``u'H(x)u <= sigma * (2 ||u||_1 / ||x||_1) * u' grad F(x)`` within
     relative slack at every sample.
     """
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError("sigma must be nonnegative")
     n = obj.dimension
 
@@ -705,7 +678,7 @@ def verify_eta_local(
     and requires ``u' grad F(x + eps u) >= (1 - eta * eps) * u' grad F(x)``
     within slack at every sample.
     """
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ValueError("eta must be nonnegative")
     n = obj.dimension
 

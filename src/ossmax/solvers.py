@@ -77,7 +77,7 @@ def momentum_weight(t: float) -> float:
 
 def update_gradient_estimate(d: Vector, sample, t: float) -> Vector:
     """One momentum update of the estimate ``d``: ``(1 - rho_t) d + rho_t * sample``."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     rho = momentum_weight(t)
     sample = np.asarray(sample, dtype=float)

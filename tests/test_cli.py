@@ -264,6 +264,25 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         assert run([]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{cov}", "--sigma", "nan"],
+            ["solve", "{cov}", "--eta", "nan"],
+            ["verify", "{cov}", "--eta", "nan"],
+            ["verify", "{cov}", "--sigma", "nan"],
+            ["generate", "--kind", "coverage", "--n", "3", "--weight-hi", "nan", "--out", "{out}"],
+        ],
+    )
+    def test_nan_arguments_exit_one(self, tmp_path, capsys, argv):
+        cov, out = tmp_path / "cov.json", tmp_path / "w.json"
+        generate = ["generate", "--kind", "coverage", "--n", "5", "--seed", "3", "--polytope", "cardinality"]
+        assert run(generate + ["--out", str(cov)]) == 0
+        code = run([arg.format(cov=cov, out=out) for arg in argv])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_runtime_failure_exits_two(self, tmp_path, linear_box_instance, capsys):
         # an absurdly small outer-round cap trips the safety limit (sigma is
         # pinned to 0 so the threshold sweep actually needs several rounds)

@@ -31,6 +31,8 @@ class TestContractionFactor:
     def test_sigma_domain(self):
         with pytest.raises(ConfigError):
             contraction_factor(0.5, -0.1)
+        with pytest.raises(ConfigError):
+            contraction_factor(0.5, math.nan)
 
     def test_range(self):
         for alpha in np.linspace(0.05, 1.0, 12):
@@ -101,6 +103,16 @@ class TestSolverConfig:
             {"max_outer_rounds": 0},
             {"alpha": -0.5},
             {"spg_batch": -4},
+            # NaN fails every check
+            {"alpha": math.nan},
+            {"epsilon": math.nan},
+            {"sigma": math.nan},
+            {"eta": math.nan},
+            {"lipschitz_L": math.nan},
+            {"diameter_D": math.nan},
+            {"noise_theta": math.nan},
+            {"spg_batch": math.nan},
+            {"max_outer_rounds": math.nan},
         ],
     )
     def test_validation(self, kwargs):

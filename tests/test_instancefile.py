@@ -114,6 +114,17 @@ class TestErrors:
         with pytest.raises(ValueError):
             read_instance(path)
 
+    @pytest.mark.parametrize("covers", [[[0], [1]], [[0], [1], [2], [0]]])
+    def test_coverage_stanza_with_wrong_cover_count(self, tmp_path, covers):
+        obj = make_coverage_instance(3, 3, seed=0)
+        path = tmp_path / "covers.json"
+        write_instance(path, Instance(obj, BoxPolytope(3)))
+        data = json.loads(path.read_text())
+        data["objective"]["covers"] = covers
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="cover sets for dimension 3"):
+            read_instance(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_instance(tmp_path / "absent.json")

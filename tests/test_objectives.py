@@ -24,6 +24,7 @@ from ossmax import (
     make_semimetric_instance,
     opt_bounds,
     random_semimetric_instance,
+    update_gradient_estimate,
     verify_eta_local,
     verify_oss,
     verify_semimetric,
@@ -86,8 +87,8 @@ class TestSemiMetricConstruction:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_symmetry_check_is_allclose(self, data):
-        # sizes around one and two 128-wide tiles, so diagonal, off-diagonal
-        # and ragged tiles all get a nudged entry
+        # the constructor accepts exactly the nonnegative matrices that pass
+        # np.allclose(M, M.T); nudged entries, diagonal or not, and NaN
         n = data.draw(st.sampled_from([1, 2, 5, 127, 128, 129, 255, 300]))
         base = np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(0.0, 10.0, size=(n, n))
         M = base + base.T
@@ -96,7 +97,11 @@ class TestSemiMetricConstruction:
             # relative nudges on both sides of allclose's rtol = 1e-5, atol = 1e-8
             rel = data.draw(st.sampled_from([0.0, 5e-6, 1e-5, 1.000001e-5, 2e-5, math.nan]))
             M[i, j] = M[i, j] * (1.0 + rel) + data.draw(st.sampled_from([0.0, 1e-8, 2e-8]))
-        assert ossmax.objectives._is_symmetric(M) == np.allclose(M, M.T)
+        if np.allclose(M, M.T):
+            assert QuadraticSemiMetricObjective(M, np.ones(n)).M is M
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                QuadraticSemiMetricObjective(M, np.ones(n))
 
     @pytest.mark.parametrize(
         "row, col, entry",
@@ -126,6 +131,111 @@ class TestSemiMetricConstruction:
     def test_points_without_coordinates_are_all_at_distance_zero(self):
         obj = make_semimetric_instance(np.zeros((3, 0)), np.ones(3))
         assert np.array_equal(obj.M, np.zeros((3, 3)))
+
+
+class TestConstructorRejections:
+    """Each input check of the two families, the generators and the base
+    objective, one row a check."""
+
+    @pytest.mark.parametrize(
+        "M, b",
+        [
+            (np.ones((2, 3)), np.ones(2)),  # not square
+            (np.ones(3), np.ones(3)),  # not a matrix
+            (np.ones((3, 3)), np.ones(2)),  # b too short
+            (np.ones((3, 3)), np.ones((3, 1))),  # b not a vector
+            (np.full((3, 3), -1.0), np.ones(3)),  # negative M
+            (np.ones((3, 3)), [1.0, -0.5, 1.0]),  # negative b
+            (np.ones((3, 3)), [1.0, math.nan, 1.0]),  # NaN b
+        ],
+    )
+    def test_quadratic(self, M, b):
+        with pytest.raises(ValueError):
+            QuadraticSemiMetricObjective(M, b)
+
+    def test_quadratic_accepts_infinite_entries(self):
+        M = np.ones((3, 3))
+        M[0, 2] = M[2, 0] = math.inf
+        obj = QuadraticSemiMetricObjective(M, [1.0, math.inf, 1.0])
+        assert obj.M[0, 2] == obj.b[1] == math.inf
+
+    @pytest.mark.parametrize(
+        "weights, covers",
+        [
+            ([], [[0]]),  # no elements
+            ([[1.0, 1.0]], [[0]]),  # 2-D weights
+            ([1.0, -0.5], [[0], [1]]),  # negative weight
+            ([math.nan, 1.0], [[0], [1]]),  # NaN weight
+            ([1.0, 1.0], []),  # no coordinates
+            ([1.0, 1.0], [[0], [2]]),  # element past the last
+            ([1.0, 1.0], [[-1], [1]]),  # negative element
+        ],
+    )
+    def test_coverage(self, weights, covers):
+        with pytest.raises(ValueError):
+            CoverageMultilinearObjective(weights, covers)
+
+    def test_generators_need_two_points(self):
+        with pytest.raises(ValueError):
+            make_semimetric_instance([[0.0, 1.0]], [1.0])
+        with pytest.raises(ValueError):
+            random_semimetric_instance(1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dimension": 0},
+            {"dimension": 2, "sigma_claimed": -0.5},
+        ],
+    )
+    def test_base_objective(self, kwargs):
+        with pytest.raises(ValueError):
+            OssObjective(value_fn=np.sum, gradient_fn=np.ones_like, **kwargs)
+
+    def test_base_objective_needs_value_and_gradient(self):
+        with pytest.raises(TypeError):
+            OssObjective(2, value_fn=np.sum)
+
+    def test_base_objective_checks_shapes(self):
+        obj = OssObjective(2, np.sum, lambda x: np.ones(3))
+        with pytest.raises(ValueError):
+            obj.value(np.ones(3))
+        with pytest.raises(SolverError, match="OssObjective: gradient oracle returned shape"):
+            obj.gradient(np.ones(2))
+
+
+class TestNanArguments:
+    """Every numeric argument with a sign or range rule rejects NaN, which
+    passes a check written as ``x < bound``."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda obj: verify_oss(obj, math.nan, trials=5, seed=0),
+            lambda obj: verify_eta_local(obj, math.nan, trials=5, seed=0),
+            lambda obj: make_semimetric_instance([0.0, 1.0, 3.0], [1.0, math.nan, 1.0]),
+            lambda obj: make_coverage_instance(3, 4, weight_range=(0.5, math.nan)),
+            lambda obj: make_coverage_instance(3, 4, weight_range=(math.nan, 1.5)),
+            lambda obj: make_coverage_instance(3, 4, weight_range=(0.5, math.inf)),
+            lambda obj: StochasticObjective(obj, math.nan),
+            lambda obj: OssObjective(3, np.sum, np.ones_like, sigma_claimed=math.nan),
+            lambda obj: update_gradient_estimate(np.zeros(3), np.ones(3), math.nan),
+        ],
+        ids=[
+            "verify_oss-sigma",
+            "verify_eta_local-eta",
+            "semimetric-b",
+            "coverage-weight-hi",
+            "coverage-weight-lo",
+            "coverage-weight-hi-inf",
+            "stochastic-theta",
+            "sigma_claimed",
+            "gradient-estimate-t",
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call(make_coverage_instance(3, 4, seed=1))
 
 
 def _traced_peak(build):
@@ -205,6 +315,11 @@ class TestVerifySemimetricBlocks:
         failed, worst, witness = _dense_semimetric_report(M, sigma)
         assert failed and math.isnan(worst)
         assert not report.passed and math.isnan(report.worst_violation) and report.witness == witness
+
+    @pytest.mark.parametrize("M", [np.ones((3, 4)), np.ones(3)])
+    def test_needs_a_square_matrix(self, M):
+        with pytest.raises(ValueError):
+            verify_semimetric(M, 1.0)
 
     def test_memory_stays_quadratic(self):
         M = random_semimetric_instance(200, seed=5).M
@@ -575,7 +690,7 @@ class TestGeneratorsMatchConstructors:
         ref = QuadraticSemiMetricObjective(obj.M.copy(), obj.b)
         for name in ("M", "b", "_row_sums"):
             assert getattr(obj, name).tobytes() == getattr(ref, name).tobytes(), name
-        assert (obj.dimension, obj.sigma_claimed, obj.label) == (ref.dimension, ref.sigma_claimed, ref.label)
+        assert (obj.dimension, obj.sigma_claimed) == (ref.dimension, ref.sigma_claimed)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("dim", [1, 3])
@@ -703,6 +818,11 @@ class TestVerifyOss:
         with pytest.raises(ValueError):
             verify_oss(obj, 0.0, trials=0)
 
+    def test_sigma_domain(self):
+        obj = make_coverage_instance(2, 2, seed=1)
+        with pytest.raises(ValueError):
+            verify_oss(obj, -0.5)
+
 
 class TestVerifyEtaLocal:
     def test_linear_passes_any_eta(self):
@@ -714,6 +834,11 @@ class TestVerifyEtaLocal:
         # gradient Mx + b is nondecreasing along nonnegative directions
         obj = make_semimetric_instance([0.0, 1.0, 3.0], [1.0, 1.0, 1.0])
         assert verify_eta_local(obj, 0.0, trials=500, seed=5).passed
+
+    def test_eta_domain(self):
+        obj = make_coverage_instance(2, 2, seed=1)
+        with pytest.raises(ValueError):
+            verify_eta_local(obj, -0.5)
 
     def test_coverage_fails_eta_zero(self):
         obj = CoverageMultilinearObjective([1.0], [[0], [0]])
@@ -818,6 +943,8 @@ class TestStochasticObjective:
         obj = make_coverage_instance(3, 4, seed=52)
         with pytest.raises(ValueError):
             StochasticObjective(obj, theta=-0.1)
+        with pytest.raises(ValueError):
+            StochasticObjective(obj, theta=0.1).empirical_value(np.zeros(3), 0)
 
 
 class TestLifetime:

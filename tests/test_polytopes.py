@@ -7,6 +7,7 @@ from ossmax import (
     BoxPolytope,
     CardinalityPolytope,
     MonotoneLinearPolytope,
+    Polytope,
     grid_maximum,
     make_coverage_instance,
     make_semimetric_instance,
@@ -246,6 +247,15 @@ class TestValidation:
             BoxPolytope(2, [0.0, 1.0])
         with pytest.raises(ValueError):
             BoxPolytope(2, 1.5)
+
+    def test_dimension_domain(self):
+        with pytest.raises(ValueError):
+            Polytope(0)
+
+    @pytest.mark.parametrize("X", [np.ones((4, 3)), np.ones(2), np.ones((2, 2, 2))])
+    def test_contains_many_needs_rows_of_the_dimension(self, X):
+        with pytest.raises(ValueError):
+            BoxPolytope(2).contains_many(X)
 
     @pytest.mark.parametrize("upper", [float("nan"), [float("nan"), 1.0], [0.5, float("nan")]])
     def test_box_bounds_reject_nan(self, upper):

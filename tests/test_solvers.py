@@ -700,6 +700,37 @@ class TestGridMaximum:
         slow = grid_max_brute(lambda x: obj.value(x), lambda x: p.contains(x), 3, 8)
         assert fast == pytest.approx(slow, abs=1e-12)
 
+    @pytest.mark.parametrize("region", [BoxPolytope(2, [0.7, 1.0]), CardinalityPolytope(2, 1.3)])
+    def test_custom_objective_matches_plain_python_enumeration(self, region):
+        # the base value_many, which evaluates each row through value
+        def value(x):
+            return float(np.sqrt(x[0] + 2.0 * x[1] + x[0] * x[1]))
+
+        obj = OssObjective(2, value, lambda x: np.ones(2))
+        fast = grid_maximum(obj, region, 7)
+        slow = grid_max_brute(value, region.contains, 2, 7)
+        assert fast == slow
+        assert obj.value_calls == sum(region.contains(x) for x in iter_grid(2, 7))
+
+    def test_nan_value_at_one_lattice_point_fails(self):
+        nan_at = np.array([0.5, 0.25])
+
+        def value(x):
+            return math.nan if np.array_equal(x, nan_at) else float(x.sum())
+
+        obj = OssObjective(2, value, lambda x: np.ones(2))
+        with pytest.raises(SolverError, match="value oracle returned nan"):
+            grid_maximum(obj, BoxPolytope(2), 4)
+
+    @pytest.mark.parametrize("resolution", [0, -2])
+    def test_resolution_domain(self, resolution):
+        with pytest.raises(ValueError):
+            grid_maximum(linear_objective(2), BoxPolytope(2), resolution)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            grid_maximum(linear_objective(3), BoxPolytope(2), 4)
+
     def test_dimension_budget(self):
         obj = linear_objective(9)
         with pytest.raises(GridBudgetError):
