@@ -45,13 +45,18 @@ def contraction_factor(alpha: float, sigma: float) -> float:
     Raises
     ------
     ConfigError
-        If ``alpha`` is outside (0, 1] or ``sigma`` is negative.
+        If ``alpha`` is outside (0, 1], ``sigma`` is negative, or the factor
+        underflows to 0 (``sigma`` above about 122.4 at ``alpha = 0.05``,
+        or infinite), where the solvers' step bound ``1/factor`` is undefined.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     if not sigma >= 0.0:
         raise ConfigError(f"sigma must be nonnegative, got {sigma}")
-    return (alpha / (alpha + 1.0)) ** (2.0 * sigma)
+    factor = (alpha / (alpha + 1.0)) ** (2.0 * sigma)
+    if factor == 0.0:
+        raise ConfigError(f"sigma = {sigma} makes the contraction factor underflow to 0 at alpha = {alpha}")
+    return factor
 
 
 def default_outer_round_cap(epsilon: float) -> int:
@@ -87,8 +92,8 @@ class SolverConfig:
         contraction_factor(self.alpha, self.sigma)  # validates alpha, sigma
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not self.eta >= 0.0:
-            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
         if not self.spg_batch >= 1:
             raise ConfigError(f"spg_batch must be a positive integer, got {self.spg_batch}")
         for name in ("lipschitz_L", "diameter_D", "noise_theta"):

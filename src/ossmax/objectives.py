@@ -34,15 +34,25 @@ VALUE_MANY_CHUNK = 100_000  # entries of the temporaries per batch of value_many
 # at most PRODUCT_BLOCK matrix entries (512 KB), so below that crossover a
 # product costs O(n * |supp x|); past it the product is the dense M @ x,
 # O(n^2), except at the all-ones point, whose product is M's row sums (taken
-# at construction and, like M, read as fixed after it), O(n).  Measured with
-# one BLAS thread on a 2-vCPU Xeon VM (2 MB L2): at |supp x| = n/4 the
-# blocked support product takes 0.64 / 0.55 / 0.30 / 0.47 of the dense
-# product's time at n = 512 / 1024 / 2048 / 4096.  At n <= 256, where M fits
-# in L2, its fixed cost eats the saving: 0.89x at one nonzero of n = 256,
-# 1.05x at n/16, and 1.9-3.6x at n <= 128.  The distance build that makes M
-# takes its rows in blocks of PRODUCT_BLOCK entries too (2^15-2^16 were the
-# fastest of 2^12...2^18 at n = 512 / 2048 / 4096), and verify_semimetric
-# takes its n^3 residuals in blocks of at least one row of n^2 entries.
+# at construction and, like M, read as fixed after it), O(n).  A block of
+# consecutive rows is read in place as a slice of M; any other is gathered
+# into one buffer per call with np.take(..., mode="clip"), because the
+# default mode="raise" buffers `out` a second time.  Measured with one BLAS
+# thread on a 2-vCPU Xeon VM (2 MB L2):
+# - gathering a 32 x 2048 block takes 19 us with mode="clip", 50 us with
+#   mode="raise" and 18 us as a fresh M[block];
+# - a fresh M[block] per block made the product's cost follow malloc's mmap
+#   threshold: at n = 2048 over n/8 consecutive rows, 2.3 ms against 0.26 ms
+#   for the slice under MALLOC_MMAP_THRESHOLD_=131072 (0.36 against 0.23 ms
+#   without it);
+# - at |supp x| = n/4 the blocked support product takes 0.64 / 0.55 / 0.30 /
+#   0.47 of the dense product's time at n = 512 / 1024 / 2048 / 4096;
+# - at n <= 256, where M fits in L2, its fixed cost eats the saving: 0.89x
+#   at one nonzero of n = 256, 1.05x at n/16, and 1.9-3.6x at n <= 128.
+# The distance build that makes M takes its rows in blocks of PRODUCT_BLOCK
+# entries too (2^15-2^16 were the fastest of 2^12...2^18 at n = 512 / 2048 /
+# 4096), and verify_semimetric takes its n^3 residuals in blocks of at least
+# one row of n^2 entries.
 SUPPORT_SHARE = 4
 SUPPORT_MIN_DIMENSION = 512
 PRODUCT_BLOCK = 1 << 16
@@ -168,6 +178,11 @@ class QuadraticSemiMetricObjective(OssObjective):
     Value and gradient share one product ``Mx``.  On a point with few
     nonzeros it sums the support's rows of ``M`` (``M`` is symmetric), so a
     query costs O(n * |supp x|) instead of O(n^2); see ``SUPPORT_SHARE``.
+    A block of consecutive support rows is read in place as a slice of
+    ``M``; other blocks are gathered with ``np.take(mode="clip")`` into one
+    buffer that each call allocates for itself (``mode="raise"`` would copy
+    through a second buffer), so threads sharing the objective never share
+    it.
     The all-ones point, which ``opt_bounds`` values when the region's box
     bound ``upper`` is all ones and differs from its max-l1 point (under a
     cardinality budget below n, say), reads ``M``'s row sums, taken once
@@ -231,9 +246,17 @@ class QuadraticSemiMetricObjective(OssObjective):
             support = np.flatnonzero(x)
             product = np.zeros(n)
             rows = max(1, PRODUCT_BLOCK // n)
+            buffer = None  # per call: threads may share the objective
             for start in range(0, len(support), rows):
                 block = support[start : start + rows]
-                product += x[block] @ self.M[block]
+                first, last = block[0], block[-1]
+                if last - first + 1 == len(block):
+                    block_rows = self.M[first : last + 1]
+                else:
+                    if buffer is None:
+                        buffer = np.empty((min(rows, len(support)), n))
+                    block_rows = np.take(self.M, block, axis=0, out=buffer[: len(block)], mode="clip")
+                product += x[block] @ block_rows
         elif n >= SUPPORT_MIN_DIMENSION and (x == 1.0).all():
             product = self._row_sums.copy()
         else:

@@ -283,6 +283,13 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--sigma", "123"), ("--sigma", "inf"), ("--eta", "inf")])
+    def test_config_outside_its_domain_exits_one(self, linear_box_instance, capsys, flag, value):
+        # sigma >= 122.4 at alpha = 0.05 underflows mu to 0, the divisor of the
+        # step bound; an infinite eta caps every step at 0
+        assert run(["solve", str(linear_box_instance), flag, value]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_solver_runtime_failure_exits_two(self, tmp_path, linear_box_instance, capsys):
         # an absurdly small outer-round cap trips the safety limit (sigma is
         # pinned to 0 so the threshold sweep actually needs several rounds)

@@ -33,6 +33,11 @@ class TestContractionFactor:
             contraction_factor(0.5, -0.1)
         with pytest.raises(ConfigError):
             contraction_factor(0.5, math.nan)
+        # the factor must stay in (0, 1]: one that underflows to 0 is rejected
+        assert contraction_factor(0.05, 122.3) > 0.0
+        for alpha, sigma in [(0.05, 123.0), (0.05, math.inf), (1.0, math.inf)]:
+            with pytest.raises(ConfigError):
+                contraction_factor(alpha, sigma)
 
     def test_range(self):
         for alpha in np.linspace(0.05, 1.0, 12):
@@ -113,6 +118,10 @@ class TestSolverConfig:
             {"noise_theta": math.nan},
             {"spg_batch": math.nan},
             {"max_outer_rounds": math.nan},
+            # mu underflows to 0; an infinite eta leaves no step
+            {"sigma": 123.0},
+            {"sigma": math.inf},
+            {"eta": math.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -333,15 +333,21 @@ def _quadratic(n, rng):
     return QuadraticSemiMetricObjective(A + A.T, rng.uniform(0.01, 1.0, size=n))
 
 
-def _sparse_point(n, size, rng):
+def _sparse_point(n, size, rng, run=0):
+    """``size`` nonzeros: ``run`` consecutive rows from a random start, the
+    rest scattered around them."""
     x = np.zeros(n)
-    x[rng.choice(n, size, replace=False)] = rng.uniform(0.01, 1.0, size)
+    start = rng.integers(0, n - run + 1) if run else 0
+    rest = np.r_[0:start, start + run : n]
+    x[np.r_[start : start + run, rng.choice(rest, size - run, replace=False)]] = rng.uniform(0.01, 1.0, size)
     return x
 
 
 class TestQuadraticProduct:
     """Value and gradient share one product ``Mx``: over the support's rows
-    on sparse points, dense otherwise, and kept for the last point."""
+    on sparse points (a block of consecutive rows read in place, any other
+    gathered into one buffer per call), dense otherwise, and kept for the
+    last point."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -349,13 +355,17 @@ class TestQuadraticProduct:
         n = data.draw(st.one_of(st.sampled_from([1, 2, 4, 9]), st.integers(1, 40)))
         crossover = n // ossmax.objectives.SUPPORT_SHARE  # largest support summed by rows
         size = data.draw(st.sampled_from([0, crossover - 1, crossover, crossover + 1, n]).filter(lambda k: 0 <= k <= n))
+        # a run of consecutive support rows among scattered ones, so that one
+        # product can read blocks in place, gather them, or both
+        run = data.draw(st.integers(0, size))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         obj = _quadratic(n, rng)
-        x = _sparse_point(n, size, rng)
+        x = _sparse_point(n, size, rng, run)
         with pytest.MonkeyPatch.context() as mp:
-            # the crossover at every dimension, in blocks of one, two or all rows
+            # the crossover at every dimension, in blocks of one, two, three
+            # (a ragged last block on most supports) or all rows
             mp.setattr(ossmax.objectives, "SUPPORT_MIN_DIMENSION", 1)
-            rows = data.draw(st.sampled_from([1, 2, None]))
+            rows = data.draw(st.sampled_from([1, 2, 3, None]))
             if rows is not None:
                 mp.setattr(ossmax.objectives, "PRODUCT_BLOCK", rows * n)
             if data.draw(st.booleans()):
@@ -366,15 +376,16 @@ class TestQuadraticProduct:
         np.testing.assert_allclose(gradient, obj.M @ x + obj.b, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
-        "below, extra, by_rows",
-        [(0, 0, True), (0, 1, False), (1, 0, False)],
-        ids=["crossover", "past-crossover", "small-dimension"],
+        "below, extra, consecutive, by_rows",
+        [(0, 0, False, True), (0, 1, False, False), (1, 0, False, False), (0, 0, True, True)],
+        ids=["crossover", "past-crossover", "small-dimension", "consecutive-run"],
     )
-    def test_support_product_reads_only_the_support_rows(self, below, extra, by_rows):
+    def test_support_product_reads_only_the_support_rows(self, below, extra, consecutive, by_rows):
         n = ossmax.objectives.SUPPORT_MIN_DIMENSION - below
         rng = np.random.default_rng(n + extra)
         obj = _quadratic(n, rng)
-        x = _sparse_point(n, n // ossmax.objectives.SUPPORT_SHARE + extra, rng)
+        size = n // ossmax.objectives.SUPPORT_SHARE + extra
+        x = _sparse_point(n, size, rng, size if consecutive else 0)
         value, gradient = 0.5 * x @ obj.M @ x + obj.b @ x, obj.M @ x + obj.b
         off = np.flatnonzero(x == 0.0)
         obj.M[np.ix_(off, off)] = np.nan  # entries that no support row holds
@@ -384,6 +395,19 @@ class TestQuadraticProduct:
         else:
             with pytest.raises(SolverError):
                 obj.value(x)
+
+    @pytest.mark.parametrize("consecutive", [True, False], ids=["run", "scattered"])
+    def test_support_product_allocates_at_most_one_block(self, consecutive):
+        # a block of consecutive rows is read in place; the others share one
+        # buffer of PRODUCT_BLOCK entries per call, beside a few n-vectors
+        n = 2048
+        rng = np.random.default_rng(11)
+        obj = _quadratic(n, rng)
+        x = _sparse_point(n, n // 8, rng, n // 8 if consecutive else 0)
+        value, peak = _traced_peak(lambda: obj.value(x))
+        block = 8 * ossmax.objectives.PRODUCT_BLOCK
+        assert peak < (block / 4 if consecutive else block + 8 * 8 * n)
+        assert value == pytest.approx(0.5 * x @ obj.M @ x + obj.b @ x, rel=1e-12, abs=0.0)
 
     def test_opt_bounds_values_the_all_ones_point_from_the_row_sums(self):
         n = ossmax.objectives.SUPPORT_MIN_DIMENSION
