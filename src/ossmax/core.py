@@ -89,7 +89,9 @@ class SolverConfig:
     noise_theta: float = 0.0
 
     def __post_init__(self) -> None:
-        contraction_factor(self.alpha, self.sigma)  # validates alpha, sigma
+        # validates alpha and sigma; kept outside the fields, so equality,
+        # repr and dataclasses.replace see only the parameters
+        object.__setattr__(self, "_mu", contraction_factor(self.alpha, self.sigma))
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 <= self.eta < math.inf:
@@ -106,8 +108,9 @@ class SolverConfig:
 
     @property
     def mu(self) -> float:
-        """Contraction factor derived from ``alpha`` and ``sigma``."""
-        return contraction_factor(self.alpha, self.sigma)
+        """Contraction factor derived from ``alpha`` and ``sigma``, once, at
+        construction."""
+        return self._mu
 
 
 def guaranteed_ratio(config: SolverConfig) -> float:

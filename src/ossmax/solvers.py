@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     STEP_TOL,
     VALUE_TOL,
+    ConfigError,
     RoundLimitError,
     Solution,
     SolverConfig,
@@ -139,8 +140,17 @@ def _moved(x: Vector, members: np.ndarray, delta: float) -> Vector:
 
 
 def _step_bound(cfg: SolverConfig, dimension: int, power: float) -> float:
-    """An oracle's constant step bound: ``min(1/(n*eta) if eta > 0, 1/(mu^power (1-eps)))``."""
-    bound = 1.0 / (cfg.mu**power * (1.0 - cfg.epsilon))
+    """An oracle's constant step bound: ``min(1/(n*eta) if eta > 0, 1/(mu^power (1-eps)))``.
+
+    Raises ConfigError when ``mu^power (1-eps)`` underflows to 0 although
+    ``mu`` is positive: the stochastic solver's ``mu^2`` does once ``sigma``
+    exceeds about 61.2 at ``alpha = 0.05``.
+    """
+    scale = cfg.mu**power * (1.0 - cfg.epsilon)
+    if scale == 0.0:
+        term = "the stochastic solver's mu^2" if power == 2.0 else "mu"
+        raise ConfigError(f"sigma = {cfg.sigma} at alpha = {cfg.alpha} makes {term} (1 - epsilon) underflow to 0")
+    bound = 1.0 / scale
     return min(bound, 1.0 / (dimension * cfg.eta)) if cfg.eta > 0.0 else bound
 
 

@@ -99,3 +99,35 @@ def fd_mixed_partial(value_fn, x, i, j, h=1e-4):
     return (
         value_fn(x + ei + ej) - value_fn(x + ei - ej) - value_fn(x - ei + ej) + value_fn(x - ei - ej)
     ) / (4.0 * h * h)
+
+
+def coverage_kernels_scalar(weights, covers, x):
+    """The coverage oracles' formulas in scalar Python, in their order.
+
+    Returns the weights of the covered elements, their survival
+    probabilities and the gradient.  Each covered element's product of
+    ``1 - x_i`` is taken left to right over its coordinates in increasing
+    order, once as is (the survival ``S_e``) and once with exact zeros
+    replaced by 1 (``P_e``).  A pair's gradient term is ``w_e * P_e / f_i``
+    (``f_i`` the replaced factor) when the pair holds every zero factor of
+    its element and 0 otherwise, and each coordinate sums its terms in
+    element order, starting from 0.0.
+    """
+    x = [float(v) for v in x]
+    pairs = sorted({(e, i) for i, cover in enumerate(covers) for e in cover})
+    covered, survival, gradient = [], [], [0.0] * len(covers)
+    for e, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        coordinates = [i for _, i in group]
+        factors = [1.0 - x[i] for i in coordinates]
+        s, p = 1.0, 1.0
+        for f in factors:
+            s *= f
+            p *= 1.0 if f == 0.0 else f
+        zeros = sum(f == 0.0 for f in factors)
+        w = float(weights[e])
+        for i, f in zip(coordinates, factors):
+            live = zeros == (f == 0.0)
+            gradient[i] += w * p / (1.0 if f == 0.0 else f) if live else 0.0
+        covered.append(w)
+        survival.append(s)
+    return covered, survival, gradient

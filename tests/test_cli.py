@@ -290,6 +290,21 @@ class TestUsageErrors:
         assert run(["solve", str(linear_box_instance), flag, value]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_stochastic_step_bound_underflow_exits_one(self, tmp_path, capsys):
+        # mu^2 underflows to 0 past sigma of about 61.2 at alpha = 0.05, where
+        # mu, and so the deterministic solver, still works
+        cov, out = tmp_path / "cov.json", tmp_path / "runs.csv"
+        generate = ["generate", "--kind", "coverage", "--n", "5", "--seed", "3", "--polytope", "cardinality"]
+        assert run(generate + ["--out", str(cov)]) == 0
+        capsys.readouterr()
+        assert run(["solve", str(cov), "--solver", "spg", "--sigma", "62", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: sigma = 62.0 at alpha = 0.05")
+        assert "stochastic solver" in err
+        assert not out.exists()
+        assert run(["solve", str(cov), "--solver", "jspg", "--sigma", "62", "--out", str(out)]) == 0
+        assert read_rows(out)[0]["error"] == ""
+
     def test_solver_runtime_failure_exits_two(self, tmp_path, linear_box_instance, capsys):
         # an absurdly small outer-round cap trips the safety limit (sigma is
         # pinned to 0 so the threshold sweep actually needs several rounds)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,3 +133,16 @@ class TestSolverConfig:
         cfg = SolverConfig()
         with pytest.raises(AttributeError):
             cfg.alpha = 0.5
+
+    def test_mu_is_derived_once_from_alpha_and_sigma(self):
+        # mu is read from __post_init__ but is no field: equality, repr and
+        # replace see only the parameters, and it cannot be set
+        cfg = SolverConfig(alpha=0.3, sigma=1.5)
+        assert cfg.mu == contraction_factor(0.3, 1.5)
+        assert cfg == SolverConfig(alpha=0.3, sigma=1.5)
+        assert repr(cfg) == repr(SolverConfig(alpha=0.3, sigma=1.5)) and "mu" not in repr(cfg)
+        assert "_mu" not in [f.name for f in dataclasses.fields(cfg)]
+        assert dataclasses.replace(cfg, sigma=0.0).mu == 1.0
+        assert dataclasses.replace(cfg, alpha=1.0).mu == contraction_factor(1.0, 1.5)
+        with pytest.raises(AttributeError):
+            cfg.mu = 0.5

@@ -32,6 +32,7 @@ from ossmax import (
 
 from helpers import (
     coverage_expectation_brute,
+    coverage_kernels_scalar,
     fd_gradient,
     fd_mixed_partial,
     multilinear_mixed_partial,
@@ -617,6 +618,72 @@ class TestCoverageExact:
         obj = CoverageMultilinearObjective(weights, covers)
         expected = [obj.value(row) for row in X]
         assert obj.value_many(X) == pytest.approx(expected, rel=0.0, abs=1e-12 * (1.0 + sum(weights)))
+
+
+# beside unit_coordinates, coordinates outside [0, 1], whose factor 1 - x_i
+# is negative or above 1
+kernel_coordinates = st.one_of(unit_coordinates, st.sampled_from([-0.5, 1.5, 1.0 + 2.0**-30]), st.floats(-1.0, 2.0))
+
+
+def _kernel_point(n, data):
+    """A point with drawn shares of exact 1s, entries just below 1 and
+    entries outside [0, 1] among uniform ones."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    x = rng.uniform(size=n)
+    for entry in (1.0, 1.0 - 2.0**-30, -0.5, 1.5):
+        x[rng.random(n) < data.draw(st.sampled_from([0.0, 0.05, 0.3]))] = entry
+    return x
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestCoverageKernelBits:
+    """Value and gradient equal the scalar formulas of ``helpers`` bit for
+    bit, with the per-element products scattered or reduced by segment (see
+    ``SCATTER_MIN_ELEMENTS``)."""
+
+    @staticmethod
+    def _check(weights, covers, obj, x):
+        covered, survival, gradient = coverage_kernels_scalar(weights, covers, x)
+        assert _bits(obj.gradient(x)) == _bits(gradient)
+        assert _bits(obj.value(x)) == _bits(np.array(covered) @ (1.0 - np.array(survival)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=coverage_cases(), data=st.data())
+    def test_small_cases_on_both_kernels(self, case, data):
+        weights, covers, x = case
+        wide = np.array(data.draw(st.lists(kernel_coordinates, min_size=len(x), max_size=len(x))))
+        obj = CoverageMultilinearObjective(weights, covers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ossmax.objectives, "SCATTER_MIN_ELEMENTS", data.draw(st.sampled_from([1, 2, 6])))
+            for point in (x, wide):
+                self._check(weights, covers, obj, point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_instances_on_both_sides_of_the_crossover(self, data):
+        crossover = ossmax.objectives.SCATTER_MIN_ELEMENTS
+        m = data.draw(st.sampled_from([8, crossover - 1, crossover, crossover + 1, 2 * crossover]))
+        n = data.draw(st.sampled_from([4, 16, 64]))
+        density = data.draw(st.sampled_from([1.0 / n, 3.0 / n, 0.5]))
+        obj = make_coverage_instance(n, m, density, seed=data.draw(st.integers(0, 2**16)))
+        assert len(set().union(*obj.covers)) == m  # every element is covered
+        self._check(obj.weights, obj.covers, obj, _kernel_point(n, data))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf / inf
+    @pytest.mark.parametrize("crossover", [1, None], ids=["scatter", "reduceat"])
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_are_oracle_errors(self, crossover, entry, monkeypatch):
+        if crossover is not None:
+            monkeypatch.setattr(ossmax.objectives, "SCATTER_MIN_ELEMENTS", crossover)
+        obj = CoverageMultilinearObjective([1.0, 0.5], [[0], [0, 1], [1]])
+        x = np.array([0.25, entry, 0.5])
+        with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned (nan|-?inf)$"):
+            obj.value(x)
+        with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: gradient oracle returned non-finite"):
+            obj.gradient(x)
 
 
 # make_coverage_instance(5, 7, density=0.4, seed) as the m x n draw gave it;

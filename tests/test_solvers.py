@@ -13,6 +13,7 @@ import ossmax.solvers
 from ossmax import (
     BoxPolytope,
     CardinalityPolytope,
+    ConfigError,
     CoverageMultilinearObjective,
     GridBudgetError,
     MonotoneLinearPolytope,
@@ -671,6 +672,29 @@ class TestStochasticParallelGreedy:
         cfg = SolverConfig(epsilon=0.1, lipschitz_L=math.inf, diameter_D=1.0)
         with pytest.raises(SolverError):
             stochastic_parallel_greedy(StochasticObjective(obj, 0.0, seed=1), p, cfg)
+
+    def test_mu_squared_underflow_is_a_config_error(self):
+        # at alpha = 0.05, mu^2 underflows to 0 past sigma of about 61.2 while
+        # mu stays positive: the step bound 1/(mu^2 (1-eps)) is undefined for
+        # the stochastic solver alone
+        obj = make_coverage_instance(5, 7, density=0.4, seed=3)
+        p = CardinalityPolytope(5, 2)
+        cfg = SolverConfig(sigma=62.0)
+        assert cfg.mu > 0.0 and cfg.mu**2 == 0.0
+        with pytest.raises(ConfigError, match=r"sigma = 62\.0 at alpha = 0\.05 .*stochastic solver"):
+            stochastic_parallel_greedy(StochasticObjective(obj, 0.0, seed=1), p, cfg)
+        assert p.contains(parallel_greedy(obj, p, cfg).x)
+        stochastic_parallel_greedy(StochasticObjective(obj, 0.0, seed=1), p, dataclasses.replace(cfg, sigma=61.0))
+
+    def test_deterministic_step_bound_underflow_is_a_config_error(self):
+        # mu itself is positive at sigma = 122, but mu (1 - eps) underflows at eps = 0.9
+        obj = make_coverage_instance(5, 7, density=0.4, seed=3)
+        p = CardinalityPolytope(5, 2)
+        cfg = SolverConfig(sigma=122.0, epsilon=0.9)
+        assert cfg.mu > 0.0
+        for solver in (parallel_greedy, serial_greedy):
+            with pytest.raises(ConfigError, match=r"sigma = 122\.0 at alpha = 0\.05"):
+                solver(obj, p, cfg)
 
     def test_nan_envelope_error(self):
         obj = make_coverage_instance(3, 4, density=0.5, seed=20)
