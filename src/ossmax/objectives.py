@@ -65,14 +65,7 @@ PRODUCT_BLOCK = 1 << 16
 # scatter against reduceat: 3.4 / 1.3 us at 8 elements, 4.4 / 3.4 at 128,
 # 4.7 / 5.7 at 256, 7.8 / 10.1 at 512 and 32 / 68 at 4096.  The constant
 # sits above the measured crossover, where scatter's gain is clear, and
-# desk instances (m <= 13) keep reduceat.  A gradient at a point with no factor exactly 0
-# skips the zero count and the liveness test.  One call on sparse instances
-# (m = 4n, density 3/n, demos/benchmark_scaling.py, best of five at a
-# uniform point), before -> after these kernels: at n = 1024 a value
-# 0.13 -> 0.07 ms and a gradient 0.25 -> 0.15 ms; at n = 10^4 a value
-# 1.4-1.6 -> 0.7 ms and a gradient 3.6-3.9 -> 1.4-1.5 ms.  Where 5% of the
-# coordinates sit at exactly 1, as along a solve, a gradient went
-# 0.20 -> 0.16 ms at n = 1024 and 3.7 -> 2.2 ms at n = 10^4.
+# desk instances (m <= 13) keep reduceat.
 SCATTER_MIN_ELEMENTS = 512
 
 
@@ -378,11 +371,8 @@ class CoverageMultilinearObjective(OssObjective):
         factors = x[self._cols]
         np.subtract(1.0, factors, out=factors)
         zero = factors == 0.0
-        if zero.any():
-            factors += zero  # 0 + 1 at a zero factor, f + 0 == f elsewhere
-            zeros = np.bincount(self._segment, zero, minlength=len(self._starts))
-        else:
-            zeros = np.zeros(len(self._starts))
+        factors += zero  # 0 + 1 at a zero factor, f + 0 == f elsewhere
+        zeros = np.bincount(self._segment, zero, minlength=len(self._starts))
         return factors, zero, self._products(factors), zeros
 
     def _value_impl(self, x) -> float:
@@ -401,8 +391,7 @@ class CoverageMultilinearObjective(OssObjective):
         factors, zero, product, zeros = self._factors(x)
         terms = (self._covered_weights * product)[self._segment]
         np.divide(terms, factors, out=terms)
-        if zeros.any():
-            terms = np.where(zeros[self._segment] == zero, terms, 0.0)
+        terms = np.where(zeros[self._segment] == zero, terms, 0.0)
         return np.bincount(self._cols, terms, minlength=self.dimension)
 
     def _quad_impl(self, x, u) -> float:
