@@ -8,7 +8,10 @@ skipped within one selection scan, so they cost no round of their own.
 This script measures medians over five seeds per point; the same sweep backs
 the acceptance tests' frozen budget constants.  It then times one value and
 one gradient of sparse coverage instances (m = 4n, density 3/n) up to
-n = 10^4, where a dense m x n incidence would hold 4 * 10^8 entries, and
+n = 10^4, where a dense m x n incidence would hold 4 * 10^8 entries, at a
+uniform point and, for the gradient, at a solve-like point with 5% of the
+coordinates at exactly 1 (whose zero factors take the gradient's zero-pair
+path, as at nearly every gradient point of a solve), and
 one build and one value and one gradient of the distance-matrix quadratic,
 for n up to 4096, at points with n/8 and n nonzeros and at the all-ones
 point; a build's traced peak is given against the 8n^2 bytes of one M.
@@ -62,25 +65,30 @@ print("empty levels within its one round.  Rounds are bounded by O(log(n)/eps^2)
 print("and stay nearly flat in n on these instances.")
 
 print()
-print(f"{'n':>6} {'pairs':>8} {'build_s':>8} {'value_ms':>9} {'gradient_ms':>12}")
+print(f"{'n':>6} {'pairs':>8} {'build_s':>8} {'value_ms':>9} {'gradient_ms':>12} {'ones_gradient_ms':>17}")
 for n in (1024, 4096, 10_000):
     start = time.perf_counter()
     objective = make_coverage_instance(n, 4 * n, density=3.0 / n, seed=n)
     build = time.perf_counter() - start
-    x = np.random.default_rng(n).uniform(size=n)
+    rng = np.random.default_rng(n)
+    x = rng.uniform(size=n)
+    ones = x.copy()
+    ones[rng.random(n) < 0.05] = 1.0
     timings = []
-    for oracle in (objective.value, objective.gradient):
+    for oracle, point in ((objective.value, x), (objective.gradient, x), (objective.gradient, ones)):
         calls = []
         for _ in range(5):  # best of five single calls
             start = time.perf_counter()
-            oracle(x)
+            oracle(point)
             calls.append(1e3 * (time.perf_counter() - start))
         timings.append(min(calls))
     pairs = sum(len(cover) for cover in objective.covers)
-    print(f"{n:>6} {pairs:>8} {build:>8.2f} {timings[0]:>9.2f} {timings[1]:>12.2f}")
+    print(f"{n:>6} {pairs:>8} {build:>8.2f} {timings[0]:>9.2f} {timings[1]:>12.2f} {timings[2]:>17.2f}")
 
 print()
 print("value and gradient cost O(nnz): a call stays in milliseconds at n = 10^4.")
+print("ones_gradient_ms times the gradient with 5% of the coordinates at exactly")
+print("1; its exact-zero factors are found and counted on the zero pairs alone.")
 
 print()
 print(

@@ -343,13 +343,16 @@ def _threshold_sweep(
         nonlocal lam
         # skip the levels where no movable entry clears the cutoff; if they
         # run down to the floor, the scan comes up empty at the last level
-        # above it and the sweep ends
+        # above it and the sweep ends.  The test is _cutoff(lam, cfg) written
+        # out with its factor taken once, as a desk scan skips about 8 levels.
         best = direction[movable].max()
-        while best < _cutoff(lam, cfg) and lam * (1.0 - cfg.epsilon) >= floor:
-            lam *= 1.0 - cfg.epsilon
+        while best < scale * lam - VALUE_TOL and lam * decay >= floor:
+            lam *= decay
             enter_level()
         return select_directions(direction, lam, cfg, trace=trace, candidates=movable).members
 
+    decay = 1.0 - cfg.epsilon
+    scale = decay * cfg.mu  # (1 - eps) * mu, multiplied as _cutoff does
     floor = _lambda_floor(cfg.mu, lower, upper, polytope)
     movable = polytope.room(x) >= STEP_TOL
     if movable.any():
@@ -375,7 +378,7 @@ def _threshold_sweep(
                 break
             direction = oracle.direction(x, clock)
             members = scan(direction)
-        lam *= 1.0 - cfg.epsilon
+        lam *= decay
 
     return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
 

@@ -672,18 +672,36 @@ class TestCoverageKernelBits:
         assert len(set().union(*obj.covers)) == m  # every element is covered
         self._check(obj.weights, obj.covers, obj, _kernel_point(n, data))
 
+    @pytest.mark.parametrize("kernel", ["reduceat", "scatter"])
+    def test_zero_counts_and_positions(self, kernel):
+        # one element per nonempty subset of the coordinates, on either side
+        # of the crossover: with every fourth coordinate at exactly 1, the
+        # elements hold 0, 1, 2 or 3 zero factors, in every pair position
+        crossover = ossmax.objectives.SCATTER_MIN_ELEMENTS
+        n = crossover.bit_length() - (kernel == "reduceat")
+        m = 2**n - 1
+        assert (m >= crossover) == (kernel == "scatter")
+        covers = [[e for e in range(m) if (e + 1) >> i & 1] for i in range(n)]
+        weights = np.linspace(0.5, 1.5, m)
+        x = np.random.default_rng(n).uniform(size=n)
+        x[::4] = 1.0
+        self._check(weights, covers, CoverageMultilinearObjective(weights, covers), x)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf / inf
     @pytest.mark.parametrize("crossover", [1, None], ids=["scatter", "reduceat"])
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_are_oracle_errors(self, crossover, entry, monkeypatch):
         if crossover is not None:
             monkeypatch.setattr(ossmax.objectives, "SCATTER_MIN_ELEMENTS", crossover)
-        obj = CoverageMultilinearObjective([1.0, 0.5], [[0], [0, 1], [1]])
-        x = np.array([0.25, entry, 0.5])
-        with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned (nan|-?inf)$"):
-            obj.value(x)
-        with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: gradient oracle returned non-finite"):
-            obj.gradient(x)
+        cases = [(CoverageMultilinearObjective([1.0, 0.5], [[0], [0, 1], [1]]), [0.25, entry, 0.5])]
+        if math.isnan(entry):
+            # the NaN coordinate's only element holds two exact zero factors too
+            cases.append((CoverageMultilinearObjective([1.0], [[0], [0], [0]]), [entry, 1.0, 1.0]))
+        for obj, x in cases:
+            with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned (nan|-?inf)$"):
+                obj.value(np.array(x))
+            with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: gradient oracle returned non-finite"):
+                obj.gradient(np.array(x))
 
 
 # make_coverage_instance(5, 7, density=0.4, seed) as the m x n draw gave it;
