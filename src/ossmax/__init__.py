@@ -10,7 +10,6 @@ verifiers for the smoothness and locality inequalities, and a small CLI
 from .core import (
     ConfigError,
     GridBudgetError,
-    RoundLimitError,
     Solution,
     SolverConfig,
     SolverError,
@@ -18,7 +17,6 @@ from .core import (
     TraceSnapshot,
     Vector,
     contraction_factor,
-    default_outer_round_cap,
     guaranteed_ratio,
 )
 from .instances import Instance, instance_from_dict, instance_to_dict, read_instance, write_instance
@@ -68,7 +66,6 @@ __all__ = [
     "OssObjective",
     "Polytope",
     "QuadraticSemiMetricObjective",
-    "RoundLimitError",
     "Solution",
     "SolverConfig",
     "SolverError",
@@ -78,7 +75,6 @@ __all__ = [
     "VerificationReport",
     "Vector",
     "contraction_factor",
-    "default_outer_round_cap",
     "grid_maximum",
     "guaranteed_ratio",
     "instance_from_dict",

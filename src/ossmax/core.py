@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 
-# epsilon floor used when deriving the default outer-round safety cap
-EPSILON_FLOOR = 1e-6
 # resolution of the step-size search: the shortest step a solver takes
 STEP_TOL = 1e-6
 # relative slack of value comparisons: gain tests, cutoffs, property checks
@@ -25,10 +23,6 @@ class ConfigError(ValueError):
 
 class SolverError(RuntimeError):
     """A solver cannot continue (bad oracle output, dimension mismatch, ...)."""
-
-
-class RoundLimitError(SolverError):
-    """The outer threshold loop hit the configured safety cap."""
 
 
 class GridBudgetError(ValueError):
@@ -59,20 +53,15 @@ def contraction_factor(alpha: float, sigma: float) -> float:
     return factor
 
 
-def default_outer_round_cap(epsilon: float) -> int:
-    """Safety cap on outer threshold rounds: ceil(10 * ln(1/eps_floor) / epsilon)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return math.ceil(10.0 * math.log(1.0 / EPSILON_FLOOR) / epsilon)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters shared by all solvers.
 
-    ``alpha`` scales the jump-start point, ``epsilon`` the threshold decay,
-    ``eta`` the locality parameter entering the step cap, and ``sigma`` the
-    smoothness parameter entering the contraction factor.  ``lipschitz_L``,
+    ``alpha`` scales the jump-start point, ``epsilon`` the threshold decay
+    (an ``epsilon`` with ``1 - epsilon == 1`` in floating point is refused,
+    as the threshold would never decay), ``eta`` the locality parameter
+    entering the step cap, and ``sigma`` the smoothness parameter entering
+    the contraction factor.  ``lipschitz_L``,
     ``diameter_D`` and ``noise_theta`` only matter for the stochastic solver.
     The numeric tolerances are fixed: ``STEP_TOL`` and ``VALUE_TOL`` here,
     ``MEMBERSHIP_TOL`` in :mod:`ossmax.polytopes`.
@@ -82,7 +71,6 @@ class SolverConfig:
     epsilon: float = 0.1
     eta: float = 0.0
     sigma: float = 0.0
-    max_outer_rounds: Optional[int] = None
     spg_batch: int = 64
     lipschitz_L: float = 0.0
     diameter_D: float = 0.0
@@ -94,6 +82,8 @@ class SolverConfig:
         object.__setattr__(self, "_mu", contraction_factor(self.alpha, self.sigma))
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if 1.0 - self.epsilon == 1.0:
+            raise ConfigError(f"epsilon = {self.epsilon} is too small: 1 - epsilon rounds to 1")
         if not 0.0 <= self.eta < math.inf:
             raise ConfigError(f"eta must be finite and nonnegative, got {self.eta}")
         if not self.spg_batch >= 1:
@@ -101,10 +91,6 @@ class SolverConfig:
         for name in ("lipschitz_L", "diameter_D", "noise_theta"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.max_outer_rounds is None:
-            object.__setattr__(self, "max_outer_rounds", default_outer_round_cap(self.epsilon))
-        elif not self.max_outer_rounds >= 1:
-            raise ConfigError(f"max_outer_rounds must be positive, got {self.max_outer_rounds}")
 
     @property
     def mu(self) -> float:

@@ -393,7 +393,13 @@ class CoverageMultilinearObjective(OssObjective):
         # nonzero factor is live when its element has no zero factor, a
         # zero pair when its element has exactly one.  Dead terms are
         # selected away by np.where, not by a mask product, which would make
-        # a non-finite dead term NaN.
+        # a non-finite dead term NaN.  A non-finite coordinate whose every
+        # element also holds two exact zeros has only dead terms, so the
+        # selection would return zeros where value() raises ([inf, 1, 1] on
+        # one element covered thrice): such points are refused up front.
+        if not np.isfinite(x).all():
+            name = type(self).__name__
+            raise SolverError(f"{name}: gradient oracle returned non-finite values at a non-finite point")
         factors, zp, ze, product, zeros = self._factors(x)
         weighted = self._covered_weights * product
         terms = np.where(zeros, 0.0, weighted)[self._segment]

@@ -32,7 +32,6 @@ from .core import (
     STEP_TOL,
     VALUE_TOL,
     ConfigError,
-    RoundLimitError,
     Solution,
     SolverConfig,
     SolverError,
@@ -319,7 +318,16 @@ def _threshold_sweep(
     changes between them.  It stops when no coordinate can move or the
     threshold falls below ``exp(-mu)`` times the lower bound.
     ``outer_rounds`` counts the threshold levels visited, skipped ones
-    included; RoundLimitError is raised once it exceeds the safety cap.
+    included.
+
+    Termination: every level visited holds ``lam >= floor``, and the floor
+    (``_lambda_floor``) is at least ``exp(-mu) * 1e-12 * upper``.  The
+    threshold starts at ``upper`` and each level multiplies it by the float
+    ``decay = 1 - eps``, which is below 1 (``SolverConfig`` refuses an
+    ``eps`` with ``1 - eps == 1``).  So a sweep visits at most
+    ``1 + (mu + ln 1e12) / (-ln decay)`` levels, fewer than
+    ``1 + 28.7 / eps`` as ``mu <= 1`` and ``-ln(1 - eps) >= eps``; the
+    sweep accounting tests check this bound on random runs.
 
     The ``oracle`` is asked for a direction at the start point and after
     every accepted step, with the clock from before the step, but only when
@@ -332,13 +340,6 @@ def _threshold_sweep(
         # objective is flat at the top of the box; nothing to gain
         return Solution(x=x, value=fx, trace=trace, lambda_final=lam, t_final=t)
 
-    def enter_level() -> None:
-        trace.outer_rounds += 1
-        if trace.outer_rounds > cfg.max_outer_rounds:
-            raise RoundLimitError(
-                f"outer threshold loop exceeded {cfg.max_outer_rounds} rounds"
-            )
-
     def scan(direction: Vector) -> np.ndarray:
         nonlocal lam
         # skip the levels where no movable entry clears the cutoff; if they
@@ -348,7 +349,7 @@ def _threshold_sweep(
         best = direction[movable].max()
         while best < scale * lam - VALUE_TOL and lam * decay >= floor:
             lam *= decay
-            enter_level()
+            trace.outer_rounds += 1
         return select_directions(direction, lam, cfg, trace=trace, candidates=movable).members
 
     decay = 1.0 - cfg.epsilon
@@ -359,7 +360,7 @@ def _threshold_sweep(
         direction = oracle.direction(x, t)
 
     while lam >= floor and movable.any():
-        enter_level()
+        trace.outer_rounds += 1
         members = scan(direction)
         while members.size:
             rate, f_base = oracle.test(x, fx, lam, t)
@@ -387,9 +388,8 @@ def parallel_greedy(obj: OssObjective, polytope: Polytope, cfg: SolverConfig) ->
     """Deterministic jump-started threshold greedy.
 
     Starts from ``alpha`` times the region's max-l1 point and runs the
-    threshold sweep on exact gradients and values.  Raises RoundLimitError
-    if the outer loop exceeds its safety cap, and SolverError on a dimension
-    mismatch or non-finite oracle output.
+    threshold sweep on exact gradients and values.  Raises SolverError on a
+    dimension mismatch or non-finite oracle output.
     """
     _check_dimensions(obj.dimension, polytope)
     trace = SolverTrace()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ossmax.solvers
 from ossmax import Instance, SolverConfig, make_semimetric_instance, read_instance, write_instance
 from ossmax.cli import CSV_HEADER, _build_parser, main
 from ossmax.polytopes import BoxPolytope
@@ -12,6 +13,10 @@ from ossmax.polytopes import BoxPolytope
 
 def run(argv):
     return main(argv)
+
+
+def _no_sweep(*args):
+    raise AssertionError("a threshold sweep started")
 
 
 def read_rows(path):
@@ -255,6 +260,20 @@ class TestBench:
         assert '"sigma": 1.0' in bench_row["config"]
         assert bench_row["config"] == solve_row["config"]
 
+    def test_row_config_outside_solver_config_is_a_row_error(self, tmp_path, linear_box_instance, monkeypatch):
+        # a field SolverConfig lacks (a removed one, say) and an epsilon whose
+        # decay rounds to 1 fail their own rows, before a sweep starts; the
+        # suite goes on
+        configs = [{"no_such_field": 5}, {"epsilon": 1e-17}]
+        monkeypatch.setattr(ossmax.solvers, "_threshold_sweep", _no_sweep)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"rows": [{"instance": str(linear_box_instance), "config": c} for c in configs]}))
+        out_dir = tmp_path / "bench"
+        assert run(["bench", str(suite), "--out-dir", str(out_dir)]) == 0
+        rows = read_rows(out_dir / "runs.csv")
+        assert rows[0]["error"].startswith("TypeError:") and "no_such_field" in rows[0]["error"]
+        assert rows[1]["error"].startswith("ConfigError: epsilon = 1e-17")
+
 
 class TestUsageErrors:
     def test_unknown_solver_flag_value(self, tmp_path, linear_box_instance, capsys):
@@ -283,10 +302,15 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--sigma", "123"), ("--sigma", "inf"), ("--eta", "inf")])
-    def test_config_outside_its_domain_exits_one(self, linear_box_instance, capsys, flag, value):
+    @pytest.mark.parametrize(
+        "flag, value", [("--sigma", "123"), ("--sigma", "inf"), ("--eta", "inf"), ("--epsilon", "1e-17")]
+    )
+    def test_config_outside_its_domain_exits_one(self, linear_box_instance, capsys, monkeypatch, flag, value):
         # sigma >= 122.4 at alpha = 0.05 underflows mu to 0, the divisor of the
-        # step bound; an infinite eta caps every step at 0
+        # step bound; an infinite eta caps every step at 0; 1 - 1e-17 rounds
+        # to 1, so the threshold would never decay.  Each is refused before
+        # a sweep starts.
+        monkeypatch.setattr(ossmax.solvers, "_threshold_sweep", _no_sweep)
         assert run(["solve", str(linear_box_instance), flag, value]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -305,9 +329,16 @@ class TestUsageErrors:
         assert run(["solve", str(cov), "--solver", "jspg", "--sigma", "62", "--out", str(out)]) == 0
         assert read_rows(out)[0]["error"] == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_solver_runtime_failure_exits_two(self, tmp_path, linear_box_instance, capsys):
-        # an absurdly small outer-round cap trips the safety limit (sigma is
-        # pinned to 0 so the threshold sweep actually needs several rounds)
-        code = run(["solve", str(linear_box_instance), "--sigma", "0", "--max-outer-rounds", "1"])
+        # a file that reads back as a valid instance but whose distances of
+        # 1e308 overflow the value oracle to inf at the first point the
+        # solver values
+        data = json.loads(linear_box_instance.read_text())
+        data["objective"]["matrix"] = [0.0 if i % 4 == 0 else 1e308 for i in range(9)]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        code = run(["solve", str(path), "--grid-resolution", "0"])
         assert code == 2
-        assert "solver failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failed: QuadraticSemiMetricObjective: value oracle returned inf" in err

@@ -8,7 +8,6 @@ from ossmax import (
     ConfigError,
     SolverConfig,
     contraction_factor,
-    default_outer_round_cap,
     guaranteed_ratio,
 )
 
@@ -79,15 +78,12 @@ class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
         assert cfg.mu == 1.0
-        assert cfg.max_outer_rounds == default_outer_round_cap(cfg.epsilon)
+        assert len(dataclasses.fields(cfg)) == 8
 
-    def test_derived_round_cap_formula(self):
-        assert default_outer_round_cap(0.1) == math.ceil(10.0 * math.log(1e6) / 0.1)
-        assert default_outer_round_cap(0.2) == math.ceil(10.0 * math.log(1e6) / 0.2)
-
-    def test_explicit_round_cap_kept(self):
-        cfg = SolverConfig(max_outer_rounds=7)
-        assert cfg.max_outer_rounds == 7
+    def test_smallest_epsilon_that_decays(self):
+        # 1 - 2**-53 is the largest float below 1; 1 - 2**-54 rounds to 1
+        cfg = SolverConfig(epsilon=2.0**-53)
+        assert 1.0 - cfg.epsilon < 1.0
 
     def test_mu_property(self):
         cfg = SolverConfig(alpha=1.0, sigma=1.0)
@@ -106,7 +102,6 @@ class TestSolverConfig:
             {"lipschitz_L": -1.0},
             {"diameter_D": -0.1},
             {"noise_theta": -0.2},
-            {"max_outer_rounds": 0},
             {"alpha": -0.5},
             {"spg_batch": -4},
             # NaN fails every check
@@ -118,11 +113,13 @@ class TestSolverConfig:
             {"diameter_D": math.nan},
             {"noise_theta": math.nan},
             {"spg_batch": math.nan},
-            {"max_outer_rounds": math.nan},
             # mu underflows to 0; an infinite eta leaves no step
             {"sigma": 123.0},
             {"sigma": math.inf},
             {"eta": math.inf},
+            # 1 - epsilon rounds to 1: the threshold would never decay
+            {"epsilon": 1e-17},
+            {"epsilon": 2.0**-54},
         ],
     )
     def test_validation(self, kwargs):

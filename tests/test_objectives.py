@@ -619,6 +619,18 @@ class TestCoverageExact:
         expected = [obj.value(row) for row in X]
         assert obj.value_many(X) == pytest.approx(expected, rel=0.0, abs=1e-12 * (1.0 + sum(weights)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf])
+    def test_infinite_coordinate_beside_two_exact_zeros_is_an_oracle_error(self, entry):
+        # every term of the infinite coordinate is dead, as its element holds
+        # two exact zero factors: the gradient refuses the point as value does
+        obj = CoverageMultilinearObjective([1.0], [[0], [0], [0]])
+        x = np.array([entry, 1.0, 1.0])
+        with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned nan$"):
+            obj.value(x)
+        with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: gradient oracle returned non-finite"):
+            obj.gradient(x)
+
 
 # beside unit_coordinates, coordinates outside [0, 1], whose factor 1 - x_i
 # is negative or above 1

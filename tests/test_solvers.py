@@ -19,7 +19,6 @@ from ossmax import (
     MonotoneLinearPolytope,
     OssObjective,
     Polytope,
-    RoundLimitError,
     SolverConfig,
     SolverError,
     SolverTrace,
@@ -40,9 +39,16 @@ from ossmax import (
 
 from ossmax.core import STEP_TOL, VALUE_TOL
 from ossmax.polytopes import MEMBERSHIP_TOL
-from ossmax.solvers import _Exact, _lambda_floor, _lattice_candidates, _line_search
+from ossmax.solvers import _LAMBDA_FLOOR_SCALE, _Exact, _lambda_floor, _lattice_candidates, _line_search
 
 from helpers import grid_max_brute, iter_grid
+
+
+def level_bound(cfg):
+    """The most threshold levels a sweep can visit: from the upper bound,
+    the threshold falls by the float decay ``1 - eps`` per level and stays
+    at or above the floor, at least ``exp(-mu) * 1e-12`` of that bound."""
+    return 1.0 + (cfg.mu - math.log(_LAMBDA_FLOOR_SCALE)) / -math.log(1.0 - cfg.epsilon)
 
 
 def linear_objective(n, coeffs=None):
@@ -312,7 +318,7 @@ class TestParallelGreedy:
         lam0 = sol.trace.history[0].lam
         reachable = {lam0}
         lam = lam0
-        for _ in range(cfg.max_outer_rounds):
+        for _ in range(math.ceil(level_bound(cfg))):
             lam *= 1.0 - cfg.epsilon
             reachable.add(lam)
         seen = {snap.lam for snap in sol.trace.history}
@@ -362,12 +368,6 @@ class TestParallelGreedy:
         sol = parallel_greedy(obj, p, SolverConfig(epsilon=0.1))
         assert sol.trace.value_queries == obj.value_calls - v0
         assert sol.trace.gradient_queries == obj.gradient_calls - g0
-
-    def test_round_limit_error(self):
-        obj = linear_objective(4)
-        p = BoxPolytope(4, 1.0)
-        with pytest.raises(RoundLimitError):
-            parallel_greedy(obj, p, SolverConfig(epsilon=0.1, max_outer_rounds=2))
 
     def test_non_finite_gradient_error(self):
         obj = OssObjective(
@@ -487,7 +487,7 @@ class TestSweepAccounting:
     def levels(sol, cfg):
         """The threshold grid: the upper bound decayed by ``1 - eps`` per level."""
         lams = [sol.trace.history[0].lam]
-        for _ in range(cfg.max_outer_rounds + 1):
+        for _ in range(math.ceil(level_bound(cfg))):
             lams.append(lams[-1] * (1.0 - cfg.epsilon))
         return {lam: k for k, lam in enumerate(lams)}, lams
 
@@ -551,17 +551,13 @@ class TestSweepAccounting:
         index, _ = self.levels(sol, cfg)
         assert sol.trace.outer_rounds == index[sol.lambda_final]
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_round_cap_counts_skipped_levels(self, seed):
-        obj = make_coverage_instance(12, 16, density=0.3, seed=seed)
-        p = BoxPolytope(12, 1.0)
-        trace = parallel_greedy(obj, p, SolverConfig(epsilon=0.1)).trace
-        outer = trace.outer_rounds
-        assert outer > trace.adaptive_rounds  # levels were skipped
-        capped = parallel_greedy(obj, p, SolverConfig(epsilon=0.1, max_outer_rounds=outer))
-        assert capped.trace.outer_rounds == outer
-        with pytest.raises(RoundLimitError):
-            parallel_greedy(obj, p, SolverConfig(epsilon=0.1, max_outer_rounds=outer - 1))
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweep_cases())
+    def test_levels_visited_stay_within_the_floor_bound(self, case):
+        # the sweep's termination argument: no level counter check backs it
+        obj, polytope, cfg, sobj = case
+        sol, _, _ = traced_sweep(obj, polytope, cfg, sobj)
+        assert sol.trace.outer_rounds <= level_bound(cfg)
 
 
 class TestSerialGreedy:
