@@ -4,7 +4,7 @@ The package ships two threshold-greedy solvers (deterministic and
 stochastic), a serial single-direction baseline, an exhaustive grid oracle,
 two objective families with exact first- and second-order oracles, sampled
 verifiers for the smoothness and locality inequalities, and a small CLI
-(`ossmax generate | solve | verify | bench`).
+(`ossmax generate | solve | verify`).
 """
 
 from .core import (

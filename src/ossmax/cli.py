@@ -6,7 +6,6 @@ generate   write a random instance file (regeneration with the same seed is
            byte-identical)
 solve      run a solver on an instance, append one CSV row, print a summary
 verify     check the smoothness / locality claims of an instance
-bench      run a suite file and write a CSV table plus a scaling summary
 
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 verification
 failure.  Relative output paths resolve against ``$OSSMAX_OUT_DIR`` when it
@@ -15,8 +14,10 @@ is set.
 CSV schema (fixed): instance, solver, seed, dimension, value, opt_lower,
 opt_upper, grid_opt, ratio, adaptive_rounds, value_queries, gradient_queries,
 wall_time_s, error, config.  ``grid_opt`` and ``ratio`` stay empty unless the
-grid oracle actually ran; ``config`` echoes the solver configuration as JSON
-so a row can be replayed exactly.
+grid oracle actually ran; ``error`` is always empty, since a failed run
+appends no row, and stays so that rows line up with files written before;
+``config`` echoes the solver configuration as JSON so a row can be replayed
+exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import dataclasses
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -116,21 +116,13 @@ class RunRecord:
 CSV_HEADER = [field.name for field in dataclasses.fields(RunRecord)]
 
 
-def _append_rows(path: Path, records) -> None:
+def _append_row(path: Path, record: RunRecord) -> None:
     new_file = not path.exists() or path.stat().st_size == 0
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(record.row())
-
-
-def _config(given: dict, instance: Instance) -> SolverConfig:
-    """The settings given (flags of ``solve``, a ``bench`` row's config),
-    ``SolverConfig``'s defaults for the rest; ``sigma`` defaults to the
-    instance's claim."""
-    return SolverConfig(**{"sigma": instance.objective.sigma_claimed, **given})
+        writer.writerow(record.row())
 
 
 def _grid_value(instance: Instance, resolution: Optional[int]) -> Optional[float]:
@@ -173,11 +165,9 @@ def _run_one(
         solution = parallel_greedy(instance.objective, instance.polytope, cfg)
     elif solver == "serial":
         solution = serial_greedy(instance.objective, instance.polytope, cfg)
-    elif solver == "spg":
+    else:  # spg; argparse's choices admit no other solver
         sobj = StochasticObjective(instance.objective, cfg.noise_theta, seed=seed)
         solution = stochastic_parallel_greedy(sobj, instance.polytope, cfg)
-    else:
-        raise _CliError(f"unknown solver {solver!r}", EXIT_VALIDATION)
     record.wall_time_s = time.perf_counter() - started
     record.value = solution.value
     record.adaptive_rounds = solution.trace.adaptive_rounds
@@ -245,10 +235,6 @@ def _build_parser() -> _Parser:
     verify.add_argument("--eta", type=float, default=None, help="also check this gradient-locality parameter")
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser("bench", help="run a suite file")
-    bench.add_argument("suite", help="suite JSON path")
-    bench.add_argument("--out-dir", default="bench-out", dest="out_dir")
     return parser
 
 
@@ -293,18 +279,20 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = read_instance(args.instance)
+    # the flags given, SolverConfig's defaults for the rest; sigma defaults
+    # to the instance's claim
     given = {
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(SolverConfig)
         if getattr(args, field.name) is not None
     }
-    cfg = _config(given, instance)
+    cfg = SolverConfig(**{"sigma": instance.objective.sigma_claimed, **given})
     try:
         record = _run_one(instance, args.instance, args.solver, cfg, args.seed, args.grid_resolution)
     except SolverError as exc:
         raise _CliError(f"solver failed: {exc}", EXIT_RUNTIME) from exc
     if args.out:
-        _append_rows(_out_path(args.out), [record])
+        _append_row(_out_path(args.out), record)
     print(f"instance      {instance.label} (n={instance.dimension})")
     print(f"solver        {args.solver}")
     print(f"value         {record.value:.6f}")
@@ -355,61 +343,6 @@ def _witness(report, objective, sigma: float) -> str:
     return text + "".join(f" eps={eps:.4f}" for eps in step)
 
 
-def _cmd_bench(args) -> int:
-    with open(args.suite, "r", encoding="utf-8") as fh:
-        suite = json.load(fh)
-    rows = suite.get("rows", [])
-    out_dir = _out_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "runs.csv"
-    csv_path.write_text("")  # fresh table per bench invocation
-    records = []
-    suite_dir = Path(args.suite).resolve().parent
-    for idx, row in enumerate(rows):
-        instance_path = row.get("instance")
-        solver = row.get("solver", "jspg")
-        raw_path = Path(instance_path)
-        resolved = raw_path if raw_path.is_absolute() else suite_dir / raw_path
-        seed = row.get("seed", 0)
-        try:
-            instance = read_instance(resolved)
-            cfg = _config(row.get("config", {}), instance)
-            record = _run_one(
-                instance, str(instance_path), solver, cfg, seed, row.get("grid_resolution", 0)
-            )
-        except Exception as exc:  # noqa: BLE001 - partial failures stay per-row
-            record = RunRecord(
-                instance=str(instance_path),
-                solver=solver,
-                seed=seed,
-                dimension=-1,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        records.append(record)
-    _append_rows(csv_path, records)
-
-    summary_path = out_dir / "summary.txt"
-    groups = {}
-    for record in records:
-        if record.error:
-            continue
-        groups.setdefault((record.dimension, record.solver), []).append(record)
-    lines = ["per-dimension medians (adaptive rounds / value queries / gradient queries)"]
-    for (dim, solver), group in sorted(groups.items()):
-        lines.append(
-            f"n={dim:<4d} solver={solver:<7s} runs={len(group):<3d} "
-            f"rounds={statistics.median(r.adaptive_rounds for r in group):g} "
-            f"value={statistics.median(r.value_queries for r in group):g} "
-            f"gradient={statistics.median(r.gradient_queries for r in group):g}"
-        )
-    failures = [r for r in records if r.error]
-    if failures:
-        lines.append(f"failed rows: {len(failures)}")
-    summary_path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {csv_path} ({len(records)} rows) and {summary_path}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -418,11 +351,7 @@ def main(argv=None) -> int:
             return _cmd_generate(args)
         if args.command == "solve":
             return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise _CliError(f"unknown command {args.command!r}", EXIT_VALIDATION)
+        return _cmd_verify(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

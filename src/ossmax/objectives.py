@@ -165,12 +165,21 @@ class OssObjective:
         return check_finite(g, f"{type(self).__name__}: gradient oracle")
 
     def hessian_quadratic_form(self, x, u) -> float:
+        """``u' H(x) u``; a non-finite ``x`` or ``u``, or result, is an
+        oracle error, whether the family's form or the fallback computes it."""
         x = self._coerce(x)
         u = self._coerce(u)
+        what = f"{type(self).__name__}: Hessian form oracle"
+        if not (np.isfinite(x).all() and np.isfinite(u).all()):
+            raise SolverError(f"{what} given a non-finite point or direction")
         if self._quad_impl is not None:
-            return float(self._quad_impl(x, u))
-        h = FD_STEP
-        return (self.value(x + h * u) - 2.0 * self.value(x) + self.value(x - h * u)) / (h * h)
+            q = float(self._quad_impl(x, u))
+        else:
+            h = FD_STEP
+            q = (self.value(x + h * u) - 2.0 * self.value(x) + self.value(x - h * u)) / (h * h)
+        if not math.isfinite(q):
+            raise SolverError(f"{what} returned {q}")
+        return q
 
     def value_many(self, X) -> np.ndarray:
         """Batch evaluation: ``value`` on each row, so each row is checked

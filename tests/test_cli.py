@@ -7,7 +7,7 @@ import pytest
 
 import ossmax.solvers
 from ossmax import Instance, SolverConfig, make_semimetric_instance, read_instance, write_instance
-from ossmax.cli import CSV_HEADER, _build_parser, main
+from ossmax.cli import _build_parser, main
 from ossmax.polytopes import BoxPolytope
 
 
@@ -75,7 +75,11 @@ class TestSolve:
         assert code == 0
         rows = read_rows(out)
         assert len(rows) == 1
-        assert list(rows[0].keys()) == CSV_HEADER
+        # the README's "CSV schema" header, in order
+        assert list(rows[0].keys()) == [
+            "instance", "solver", "seed", "dimension", "value", "opt_lower", "opt_upper", "grid_opt", "ratio",
+            "adaptive_rounds", "value_queries", "gradient_queries", "wall_time_s", "error", "config",
+        ]
         assert float(rows[0]["ratio"]) >= 0.99
         assert rows[0]["error"] == ""
 
@@ -211,70 +215,6 @@ class TestVerify:
         assert run(["verify", str(path), "--eta", "1.0", "--trials", "100"]) == 0
 
 
-class TestBench:
-    def test_empty_suite_writes_header_only(self, tmp_path):
-        suite = tmp_path / "suite.json"
-        suite.write_text(json.dumps({"rows": []}))
-        out_dir = tmp_path / "bench"
-        assert run(["bench", str(suite), "--out-dir", str(out_dir)]) == 0
-        lines = (out_dir / "runs.csv").read_text().strip().splitlines()
-        assert lines == [",".join(CSV_HEADER)]
-
-    def test_suite_with_failure_continues(self, tmp_path, linear_box_instance):
-        suite = tmp_path / "suite.json"
-        suite.write_text(
-            json.dumps(
-                {
-                    "rows": [
-                        {"instance": str(linear_box_instance), "solver": "jspg",
-                         "grid_resolution": 10},
-                        {"instance": "missing.json", "solver": "jspg"},
-                        {"instance": str(linear_box_instance), "solver": "serial"},
-                    ]
-                }
-            )
-        )
-        out_dir = tmp_path / "bench"
-        assert run(["bench", str(suite), "--out-dir", str(out_dir)]) == 0
-        rows = read_rows(out_dir / "runs.csv")
-        assert len(rows) == 3
-        assert rows[0]["error"] == "" and float(rows[0]["ratio"]) >= 0.99
-        assert rows[1]["error"] != ""
-        assert rows[2]["error"] == ""
-        # a row without a seed records seed 0 whether it runs or fails
-        assert [row["seed"] for row in rows] == ["0", "0", "0"]
-        assert (out_dir / "summary.txt").exists()
-
-    def test_row_sigma_defaults_to_the_instance_claim_as_in_solve(self, tmp_path):
-        path = tmp_path / "quad.json"
-        assert run(["generate", "--kind", "quadratic-semimetric", "--n", "3", "--seed", "2",
-                    "--out", str(path)]) == 0
-        suite = tmp_path / "suite.json"
-        suite.write_text(json.dumps({"rows": [{"instance": str(path), "config": {}}]}))
-        out_dir = tmp_path / "bench"
-        assert run(["bench", str(suite), "--out-dir", str(out_dir)]) == 0
-        assert run(["solve", str(path), "--out", str(tmp_path / "solve.csv")]) == 0
-        bench_row, = read_rows(out_dir / "runs.csv")
-        solve_row, = read_rows(tmp_path / "solve.csv")
-        assert bench_row["error"] == ""
-        assert '"sigma": 1.0' in bench_row["config"]
-        assert bench_row["config"] == solve_row["config"]
-
-    def test_row_config_outside_solver_config_is_a_row_error(self, tmp_path, linear_box_instance, monkeypatch):
-        # a field SolverConfig lacks (a removed one, say) and an epsilon whose
-        # decay rounds to 1 fail their own rows, before a sweep starts; the
-        # suite goes on
-        configs = [{"no_such_field": 5}, {"epsilon": 1e-17}]
-        monkeypatch.setattr(ossmax.solvers, "_threshold_sweep", _no_sweep)
-        suite = tmp_path / "suite.json"
-        suite.write_text(json.dumps({"rows": [{"instance": str(linear_box_instance), "config": c} for c in configs]}))
-        out_dir = tmp_path / "bench"
-        assert run(["bench", str(suite), "--out-dir", str(out_dir)]) == 0
-        rows = read_rows(out_dir / "runs.csv")
-        assert rows[0]["error"].startswith("TypeError:") and "no_such_field" in rows[0]["error"]
-        assert rows[1]["error"].startswith("ConfigError: epsilon = 1e-17")
-
-
 class TestUsageErrors:
     def test_unknown_solver_flag_value(self, tmp_path, linear_box_instance, capsys):
         code = run(["solve", str(linear_box_instance), "--solver", "hillclimb"])
@@ -282,6 +222,10 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert run([]) == 1
+
+    def test_retired_bench_verb_is_unknown(self, capsys):
+        assert run(["bench", "suite.json"]) == 1
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -623,13 +623,16 @@ class TestCoverageExact:
     @pytest.mark.parametrize("entry", [math.inf, -math.inf])
     def test_infinite_coordinate_beside_two_exact_zeros_is_an_oracle_error(self, entry):
         # every term of the infinite coordinate is dead, as its element holds
-        # two exact zero factors: the gradient refuses the point as value does
+        # two exact zero factors: the gradient and the Hessian form refuse the
+        # point as value does
         obj = CoverageMultilinearObjective([1.0], [[0], [0], [0]])
         x = np.array([entry, 1.0, 1.0])
         with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned nan$"):
             obj.value(x)
         with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: gradient oracle returned non-finite"):
             obj.gradient(x)
+        with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: Hessian form oracle given a non-finite"):
+            obj.hessian_quadratic_form(x, np.ones(3))
 
 
 # beside unit_coordinates, coordinates outside [0, 1], whose factor 1 - x_i
@@ -714,6 +717,10 @@ class TestCoverageKernelBits:
                 obj.value(np.array(x))
             with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: gradient oracle returned non-finite"):
                 obj.gradient(np.array(x))
+            # the Hessian form refuses the entry in the point and in the direction
+            for point, direction in [(x, np.ones(len(x))), (np.full(len(x), 0.5), x)]:
+                with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: Hessian form oracle given a non-finite"):
+                    obj.hessian_quadratic_form(np.array(point), np.array(direction))
 
 
 # make_coverage_instance(5, 7, density=0.4, seed) as the m x n draw gave it;
