@@ -17,7 +17,7 @@ for n up to 4096, at points with n/8 and n nonzeros and at the all-ones
 point; a build's traced peak is given against the 8n^2 bytes of one M.
 Last, it runs the grid oracle on box, cardinality and chain regions of
 dimension 4 to 7 and counts the lattice points it holds and the feasible
-points it evaluates (the only points its pruned walk keeps).
+points it evaluates (the only points its walk builds).
 
 Run: python demos/benchmark_scaling.py
 """
@@ -164,7 +164,8 @@ for n in (4, 5, 6, 7):
         )
 
 print()
-print("The grid oracle walks only the lattice points that the region's pruning")
-print("rule keeps, which are exactly the feasible ones, and evaluates each once,")
-print("so its cost follows the feasible count: a chain costs milliseconds even at")
-print("n = 7, while a half-full cardinality budget still holds about half the lattice.")
+print("The grid oracle builds only the lattice points whose every digit lies in")
+print("the range the region allows after the digits before it, which are exactly")
+print("the feasible ones, and evaluates each once, so its cost follows the feasible")
+print("count: a chain costs a few milliseconds even at n = 7, while a half-full")
+print("cardinality budget still holds about half the lattice.")

@@ -99,7 +99,9 @@ class OssObjective:
     along ``u``, meant for verification, not for solver hot paths.
     ``value_many`` calls ``value`` on each row, so a batch is checked and
     counted as single values are; a family may override it with a batched
-    evaluation.  Oracle errors name the objective's class.  A
+    evaluation that checks the batch's shape and its values as ``value``
+    checks a point's (``_coerce_many``, ``_checked_many``).  Oracle errors
+    name the objective's class.  A
     family's hooks are methods, not stored callables, so nothing its
     objective holds refers back to it and a dropped objective is freed at
     once, without waiting for the cyclic collector.
@@ -147,6 +149,18 @@ class OssObjective:
         if x.shape != (self.dimension,):
             raise ValueError(f"expected a vector of length {self.dimension}, got shape {x.shape}")
         return x
+
+    def _coerce_many(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            raise ValueError(f"expected an array of shape (*, {self.dimension}), got shape {X.shape}")
+        return X
+
+    def _checked_many(self, values: np.ndarray) -> np.ndarray:
+        """A batched family's values, refused as ``value`` refuses one when any is not finite."""
+        if not np.isfinite(values).all():
+            raise SolverError(f"{type(self).__name__}: value oracle returned non-finite values")
+        return values
 
     def value(self, x) -> float:
         x = self._coerce(x)
@@ -299,7 +313,7 @@ class QuadraticSemiMetricObjective(OssObjective):
         Rows go in chunks of at most ``VALUE_MANY_CHUNK`` entries of
         ``X @ M``, which keeps the temporaries in cache.
         """
-        X = np.asarray(X, dtype=float)
+        X = self._coerce_many(X)
         self._value_calls.bump(len(X))
         out = np.empty(len(X))
         chunk = max(1, VALUE_MANY_CHUNK // self.dimension)
@@ -308,7 +322,7 @@ class QuadraticSemiMetricObjective(OssObjective):
             quad = rows @ self.M
             quad *= rows
             out[start : start + chunk] = 0.5 * quad.sum(axis=1) + rows @ self.b
-        return out
+        return self._checked_many(out)
 
 
 class CoverageMultilinearObjective(OssObjective):
@@ -330,7 +344,8 @@ class CoverageMultilinearObjective(OssObjective):
     pairs) beside the O(nnz) gather, divide and sum.  Each element's
     product of factors is taken left to right in pair order, by scatter or
     by segment (``SCATTER_MIN_ELEMENTS``), with the same bits either way;
-    ``value_many`` reduces each row by segment.  At m = 4n and density
+    ``value_many`` takes a batch's products one pair position at a time,
+    again with the same bits.  At m = 4n and density
     3/n, one gradient took 0.10-0.15 ms at n = 1024 and 0.9 / 1.2 ms at
     n = 10^4, at a uniform point / with 5% of the coordinates at exactly 1
     (one BLAS thread, 2-vCPU VM; README gives the figures in full).
@@ -368,6 +383,7 @@ class CoverageMultilinearObjective(OssObjective):
         covered = rows[self._starts]
         self._segment = np.searchsorted(covered, rows)  # covered element of each pair
         self._covered_weights = self.weights[covered]
+        self._layout = None  # value_many's pair layout, built on its first call
         super().__init__(n, sigma_claimed=0.0)
 
     def _products(self, factors) -> np.ndarray:
@@ -436,23 +452,56 @@ class CoverageMultilinearObjective(OssObjective):
         )
         return -float((self._covered_weights * product) @ pair_sums)
 
+    def _position_layout(self):
+        """The pairs in position-major order, for ``value_many``.
+
+        With the covered elements ranked by decreasing pair count (stably),
+        position ``k`` holds the ``k``-th pair of each element with more
+        than ``k`` pairs, so its rows are a prefix of position 0's.  Returns
+        the coordinates of the pairs in that order, the pair count of each
+        position past the first, and each covered element's rank.
+        """
+        sizes = np.diff(self._starts, append=len(self._cols))
+        order = np.argsort(-sizes, kind="stable")
+        counts = [np.count_nonzero(sizes > k) for k in range(sizes.max(initial=0))]
+        pairs = np.concatenate([self._starts[:0]] + [self._starts[order[:c]] + k for k, c in enumerate(counts)])
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return self._cols[pairs], counts[1:], rank
+
     def value_many(self, X):
         """Batch evaluation; counts one invocation per row.
 
-        Rows are gathered in chunks of at most ``VALUE_MANY_CHUNK`` factor
-        entries (about 1 MB of temporaries; one row a chunk when a row
-        alone has more), which keeps them in cache.
+        Rows go in chunks of at most ``VALUE_MANY_CHUNK`` factor entries
+        (about 1 MB of temporaries; one row a chunk when a row alone has
+        more), which keeps them in cache.  A chunk's factors are gathered
+        one pair position at a time from its transpose (see
+        ``_position_layout``, built on the first call), each position
+        multiplied into the running products of its elements as one slice;
+        the products come back to element order before ``1 - survival``
+        meets the weights.  So each product is still taken left to right in
+        pair order, and each row's value has the bits that a row-wise
+        product by segment gives it.
         """
-        X = np.asarray(X, dtype=float)
+        X = self._coerce_many(X)
         self._value_calls.bump(len(X))
+        layout = self._layout
+        if layout is None:  # threads racing here build it twice at worst
+            layout = self._layout = self._position_layout()
+        cols, counts, rank = layout
         out = np.empty(len(X))
         chunk = max(1, VALUE_MANY_CHUNK // (len(self._cols) or 1))
         for start in range(0, len(X), chunk):
-            factors = X[start : start + chunk, self._cols]
-            np.subtract(1.0, factors, out=factors)
-            survival = np.multiply.reduceat(factors, self._starts, axis=1)
-            out[start : start + chunk] = (1.0 - survival) @ self._covered_weights
-        return out
+            flipped = np.subtract(1.0, X[start : start + chunk].T, order="C")
+            factors = flipped.take(cols, axis=0)
+            survival = factors[: len(rank)]
+            offset = len(rank)
+            for count in counts:
+                survival[:count] *= factors[offset : offset + count]
+                offset += count
+            covered = np.subtract(1.0, survival.take(rank, axis=0).T, order="C")
+            out[start : start + chunk] = covered @ self._covered_weights
+        return self._checked_many(out)
 
 
 def _ordered_pair_sums(r, starts, segment) -> np.ndarray:

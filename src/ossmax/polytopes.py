@@ -5,19 +5,21 @@ its own.  The solvers move coordinates up, singly or in groups, and ask
 the region how far they can go, in closed form: each coordinate on its own
 (:meth:`Polytope.room`) and a group together (:meth:`Polytope.headroom`),
 the two answers agreeing exactly on single coordinates.  The grid oracle
-asks which lattice index prefixes no feasible point can complete
-(:meth:`Polytope._lattice_prefixes`), answered exactly on complete rows, so
-the oracle evaluates the surviving points without testing them again;
-where rounding could put the budget's closed form on the other side of
-membership's comparison (a tie), that rule answers with
-:meth:`Polytope._satisfies_many` on the rows themselves, as membership
-does.  Known gap: on a non-downward-closed region a coordinate tied with
-the coordinate that dominates it cannot move alone, so a tied chain whose
-dominating coordinate never clears the threshold stalls at the jump start.
+asks, for each lattice index prefix, the interval of digits the next
+coordinate may take (:meth:`Polytope._lattice_interval`), answered exactly
+on the last coordinate, so the oracle builds and evaluates the feasible
+points alone and tests none of them again; where rounding could put the
+budget's closed form on the other side of membership's comparison (a
+tie), that rule answers with :meth:`Polytope._satisfies_many` on the rows
+themselves, as membership does.  Known gap: on a non-downward-closed
+region a coordinate tied with the coordinate that dominates it cannot move
+alone, so a tied chain whose dominating coordinate never clears the
+threshold stalls at the jump start.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -33,12 +35,12 @@ class Polytope:
 
     The base answers the box part of every query.  A subclass overrides
     ``_satisfies_many(X)`` with its own rows (slack ``MEMBERSHIP_TOL``, as for
-    the box), extends :meth:`room`, :meth:`headroom` and
-    :meth:`_lattice_prefixes` through ``super()`` with the same rows in closed
+    the box), narrows :meth:`room`, :meth:`headroom` and
+    :meth:`_lattice_interval` through ``super()`` with the same rows in closed
     form, and sets ``max_l1_point`` (a feasible point of maximal l1 norm; by
     default ``upper``) when its rows cut ``upper`` off.  A subclass that adds
-    rows without a lattice rule of its own still gets exact answers: the base
-    tests its complete lattice rows with :meth:`_satisfies_many`.
+    rows without a lattice rule of its own still gets exact answers: the
+    grid walk tests its complete lattice rows with :meth:`_satisfies_many`.
     """
 
     def __init__(self, dimension: int, upper=1.0):
@@ -80,34 +82,23 @@ class Polytope:
         """
         return float(np.min(self.upper[members] - np.asarray(x, dtype=float)[members]))
 
-    def _lattice_prefixes(self, idx: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Mask of the index prefixes that a feasible lattice point may still complete.
+    def _lattice_interval(self, idx: np.ndarray, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Inclusive range ``[lo, hi]`` of the digits coordinate ``k`` may take after each prefix.
 
-        ``idx`` holds one prefix a row: lattice indices into ``levels`` for
-        coordinates ``0..k``, where ``k`` was just assigned and every shorter
-        prefix already passed.  ``levels`` is increasing, with gaps wider than
-        ``MEMBERSHIP_TOL``.  The mask keeps each prefix of a point that
-        :meth:`contains_many` accepts; it may keep other prefixes, but on
-        complete rows (``k = n - 1``) it keeps exactly the accepted points,
-        so the grid oracle evaluates them without a membership test.  The box
-        drops the prefixes whose coordinate ``k`` lies above its bound, the
-        comparison membership makes.  A region whose rows have no lattice
-        rule (see :meth:`_lattice_rule_covers_rows`) has its complete rows
-        tested with :meth:`_satisfies_many`.
+        ``idx`` holds one prefix a row: indices into ``levels`` (increasing,
+        with gaps wider than ``MEMBERSHIP_TOL``) of coordinates ``0..k-1``.
+        The range holds each digit that extends the prefix toward a point
+        :meth:`contains_many` accepts, and on the last coordinate no other,
+        so the grid oracle evaluates its points without a membership test;
+        ``lo > hi`` drops the prefix.  The box allows the levels up to its
+        bound, the comparison membership makes.
         """
-        k = idx.shape[1] - 1
-        top = np.count_nonzero(levels <= self.upper[k] + MEMBERSHIP_TOL) - 1
-        if top == len(levels) - 1:  # skip the row test: chains and budgets grow ~10^5 rows a call
-            keep = np.ones(len(idx), dtype=bool)
-        else:
-            keep = idx[:, k] <= top
-        if k == self.dimension - 1 and not self._lattice_rule_covers_rows():
-            keep[keep] = self._satisfies_many(levels[idx[keep]])
-        return keep
+        top = np.count_nonzero(levels <= self.upper[idx.shape[1]] + MEMBERSHIP_TOL) - 1
+        return np.zeros(len(idx), dtype=np.intp), np.full(len(idx), top, dtype=np.intp)
 
     @classmethod
     def _lattice_rule_covers_rows(cls) -> bool:
-        """Whether :meth:`_lattice_prefixes` was written for the region's rows.
+        """Whether :meth:`_lattice_interval` was written for the region's rows.
 
         True when the class that defines it is the class that defines
         :meth:`_satisfies_many`, or a subclass of that class.
@@ -115,7 +106,7 @@ class Polytope:
         def owner(name):
             return next(c for c in cls.__mro__ if name in vars(c))
 
-        return issubclass(owner("_lattice_prefixes"), owner("_satisfies_many"))
+        return issubclass(owner("_lattice_interval"), owner("_satisfies_many"))
 
     def _satisfies_many(self, X: np.ndarray) -> np.ndarray:
         """Rows of ``X`` (each inside the box) that satisfy the region's own rows."""
@@ -157,22 +148,22 @@ class CardinalityPolytope(Polytope):
         fill = (self.budget - float(np.sum(x))) / len(members)
         return min(super().headroom(x, members), fill)
 
-    def _lattice_prefixes(self, idx, levels):
-        # levels[i] is i / resolution to a few ulp, so a row's sum lies within
-        # a relative 1e-15 of its index sum / resolution: the index sum
-        # decides, except within a relative 1e-12 of the bound (a tie), where
-        # complete rows are summed as contains_many sums them
+    def _lattice_interval(self, idx, levels):
+        # levels[i] is i / resolution to a few ulp, so the index total decides a
+        # row's sum except within a relative 1e-12 of the bound (a tie), where
+        # complete rows are summed as contains_many sums them; below a bound of
+        # 5e11, far above any grid's, that window holds at most the total `cap`
         bound = (self.budget + MEMBERSHIP_TOL) * (len(levels) - 1)
-        total = idx[:, 0].astype(np.uint32)
-        for column in idx.T[1:]:
+        cap = math.floor(bound * (1.0 + 1e-12))
+        total = np.zeros(len(idx), dtype=np.intp)
+        for column in idx.T:
             total += column
-        keep = super()._lattice_prefixes(idx, levels)
-        keep &= total <= bound * (1.0 + 1e-12)
-        if idx.shape[1] == self.dimension:
-            tie = keep & (total >= bound * (1.0 - 1e-12))
-            if tie.any():
-                keep[tie] = self._satisfies_many(levels[idx[tie]])
-        return keep
+        lo, hi = super()._lattice_interval(idx, levels)
+        np.minimum(hi, cap - total, out=hi)
+        if idx.shape[1] == self.dimension - 1 and math.ceil(bound * (1.0 - 1e-12)) <= cap:
+            tie = (hi == cap - total) & (hi >= lo)  # a tied row that membership refuses leaves the range
+            hi[tie] -= ~self._satisfies_many(levels[np.column_stack((idx[tie], hi[tie]))])
+        return lo, hi
 
     def describe(self):
         return {"kind": "cardinality", "budget": self.budget}
@@ -220,14 +211,16 @@ class MonotoneLinearPolytope(Polytope):
             room = min(room, float(np.min(x[self._hi[leaving]] - x[self._lo[leaving]])))
         return room
 
-    def _lattice_prefixes(self, idx, levels):
+    def _lattice_interval(self, idx, levels):
         # levels more than the slack apart: x_lo <= x_hi + MEMBERSHIP_TOL iff idx_lo <= idx_hi
-        k = idx.shape[1] - 1
-        keep = super()._lattice_prefixes(idx, levels)
-        for lo, hi in self.pairs:
-            if max(lo, hi) == k:
-                keep &= idx[:, lo] <= idx[:, hi]
-        return keep
+        k = idx.shape[1]
+        lo, hi = super()._lattice_interval(idx, levels)
+        for a, b in self.pairs:
+            if b == k and a < k:
+                np.maximum(lo, idx[:, a], out=lo)
+            elif a == k and b < k:
+                np.minimum(hi, idx[:, b], out=hi)
+        return lo, hi
 
     def describe(self):
         return {"kind": "monotone-linear", "pairs": [list(p) for p in self.pairs]}

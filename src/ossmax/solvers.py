@@ -484,15 +484,16 @@ def grid_maximum(obj: OssObjective, polytope: Polytope, resolution: int) -> floa
     objectives with bounded gradients the gap is at most
     ``n * max|grad| / resolution``.
 
-    The lattice is grown one coordinate at a time and the region drops the
-    index prefixes no feasible point can complete; on complete rows its
-    answer is exact (:meth:`Polytope._lattice_prefixes`), so the survivors
-    are the feasible points, each evaluated once and tested for membership
-    by nothing else, and the cost follows the feasible count rather than
-    ``(resolution + 1) ** n``.  The points evaluated are those of full
-    enumeration; the maximum can differ from it in the last ulp or two,
-    because a batched evaluation's rounding may depend on a row's position
-    in its batch.
+    The lattice is grown one coordinate at a time: the region gives each
+    index prefix the interval of digits its next coordinate may take, and
+    the walk writes the prefix once per digit of it.  On the last
+    coordinate the interval is exact (:meth:`Polytope._lattice_interval`),
+    so the rows built are the feasible points, each evaluated once and
+    tested for membership by nothing else, and the cost follows the
+    feasible count rather than ``(resolution + 1) ** n``.  The points are
+    those of full enumeration, in its order; the maximum can differ from it
+    in the last ulp or two, because a batched evaluation's rounding may
+    depend on a row's position in its batch.
 
     Raises GridBudgetError when the lattice would exceed the point budget
     or the dimension exceeds 8.
@@ -526,18 +527,27 @@ def _lattice_candidates(polytope: Polytope, levels: np.ndarray):
     ``len(levels) ** (n - 1)`` rows (``len(levels)`` when ``n == 1``).
     """
     n, per_axis = polytope.dimension, len(levels)
-    digits = np.arange(per_axis, dtype=np.min_scalar_type(per_axis - 1))
+    dtype = np.min_scalar_type(per_axis - 1)
+    tested = not polytope._lattice_rule_covers_rows()
 
     def grow(prefixes):
-        k = prefixes.shape[1]
-        grown = np.empty((len(prefixes), per_axis, k + 1), dtype=digits.dtype)
-        grown[:, :, :k] = prefixes[:, None, :]
-        grown[:, :, k] = digits
-        grown = grown.reshape(-1, k + 1)
-        keep = polytope._lattice_prefixes(grown, levels)
-        return grown if keep.all() else grown[keep]
+        # each prefix once per digit of its range; the digits are the running sum, in
+        # their dtype (so modulo its range), of 1s that jump from a range's hi to the next's lo
+        lo, hi = polytope._lattice_interval(prefixes, levels)
+        live = lo <= hi
+        if not live.all():
+            prefixes, lo, hi = prefixes[live], lo[live], hi[live]
+        counts = hi - lo + 1
+        widened = np.empty((len(prefixes), prefixes.shape[1] + 1), dtype=dtype)
+        widened[:, :-1] = prefixes
+        grown = np.repeat(widened, counts, axis=0)
+        steps = np.ones(len(grown), dtype=dtype)
+        lo[1:] -= hi[:-1]
+        steps[np.cumsum(counts) - counts] = lo
+        np.cumsum(steps, dtype=dtype, out=grown[:, -1])
+        return grown[polytope._satisfies_many(levels[grown])] if tested and grown.shape[1] == n else grown
 
-    prefixes = np.empty((1, 0), dtype=digits.dtype)
+    prefixes = np.empty((1, 0), dtype=dtype)
     for _ in range(n - 1):
         prefixes = grow(prefixes)
     step = per_axis ** max(n - 2, 0)

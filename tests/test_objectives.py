@@ -20,6 +20,7 @@ from ossmax import (
     QuadraticSemiMetricObjective,
     SolverError,
     StochasticObjective,
+    grid_maximum,
     make_coverage_instance,
     make_semimetric_instance,
     opt_bounds,
@@ -665,6 +666,39 @@ class TestCoverageKernelBits:
         assert _bits(obj.gradient(x)) == _bits(gradient)
         assert _bits(obj.value(x)) == _bits(np.array(covered) @ (1.0 - np.array(survival)))
 
+    @staticmethod
+    def _check_many(weights, covers, obj, X):
+        # value_many takes (1 - S) @ covered on chunks of rows, and a row's
+        # bits may depend on its place in its chunk: compare chunk by chunk
+        rows = [coverage_kernels_scalar(weights, covers, x) for x in X]
+        covered = np.array(rows[0][0])
+        S = np.array([survival for _, survival, _ in rows]).reshape(len(X), len(covered))
+        chunk = max(1, ossmax.objectives.VALUE_MANY_CHUNK // (len(obj._cols) or 1))
+        expected = [(1.0 - S[start : start + chunk]) @ covered for start in range(0, len(X), chunk)]
+        assert _bits(obj.value_many(X)) == _bits(np.concatenate(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=coverage_cases(), data=st.data())
+    def test_value_many_within_and_across_chunks(self, case, data):
+        # elements of 0 to 6 pairs, rows with exact 0s and 1s and entries
+        # outside [0, 1], in one chunk or in chunks of 1-3 rows
+        weights, covers, x = case
+        n = len(x)
+        rows = data.draw(st.lists(st.lists(kernel_coordinates, min_size=n, max_size=n), max_size=7))
+        X = np.array([x] + rows)
+        obj = CoverageMultilinearObjective(weights, covers)
+        with pytest.MonkeyPatch.context() as mp:
+            per_chunk = data.draw(st.sampled_from([None, 1, 2, 3]))
+            if per_chunk is not None:
+                mp.setattr(ossmax.objectives, "VALUE_MANY_CHUNK", per_chunk * max(1, len(obj._cols)))
+            self._check_many(weights, covers, obj, X)
+
+    def test_value_many_without_pairs(self):
+        obj = CoverageMultilinearObjective([1.0, 2.0], [[], []])
+        X = np.random.default_rng(5).uniform(size=(4, 2))
+        self._check_many(obj.weights, obj.covers, obj, X)
+        assert _bits(obj.value_many(X)) == _bits(np.zeros(4))
+
     @settings(max_examples=300, deadline=None)
     @given(case=coverage_cases(), data=st.data())
     def test_small_cases_on_both_kernels(self, case, data):
@@ -686,6 +720,9 @@ class TestCoverageKernelBits:
         obj = make_coverage_instance(n, m, density, seed=data.draw(st.integers(0, 2**16)))
         assert len(set().union(*obj.covers)) == m  # every element is covered
         self._check(obj.weights, obj.covers, obj, _kernel_point(n, data))
+        # 1-4 rows: past 25 000 pairs a chunk holds fewer than 4
+        X = np.array([_kernel_point(n, data) for _ in range(data.draw(st.integers(1, 4)))])
+        self._check_many(obj.weights, obj.covers, obj, X)
 
     @pytest.mark.parametrize("kernel", ["reduceat", "scatter"])
     def test_zero_counts_and_positions(self, kernel):
@@ -721,6 +758,21 @@ class TestCoverageKernelBits:
             for point, direction in [(x, np.ones(len(x))), (np.full(len(x), 0.5), x)]:
                 with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: Hessian form oracle given a non-finite"):
                     obj.hessian_quadratic_form(np.array(point), np.array(direction))
+            # a batch refuses the point as a row, as value refuses it alone
+            with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned non-finite values$"):
+                obj.value_many(np.array([np.full(len(x), 0.5), x]))
+        if math.isinf(entry):
+            # an infinite weight makes finite points' values inf, or nan where
+            # its element is uncovered (inf * 0): a batch refuses them as
+            # value does, so the grid oracle cannot skip such a block
+            obj = CoverageMultilinearObjective([math.inf, 1.0], [[0], [1]])
+            for x in ([0.25, 0.5], [0.0, 0.5]):
+                with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned (nan|inf)$"):
+                    obj.value(np.array(x))
+                with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned non-finite values$"):
+                    obj.value_many(np.array([[0.25, 0.25], x]))
+            with pytest.raises(SolverError, match=r"^CoverageMultilinearObjective: value oracle returned non-finite values$"):
+                grid_maximum(obj, BoxPolytope(2), 2)
 
 
 # make_coverage_instance(5, 7, density=0.4, seed) as the m x n draw gave it;
@@ -895,6 +947,14 @@ class TestSharedInvariants:
             batch = obj.value_many(X)
             single = np.array([obj.value(row) for row in X])
             assert np.allclose(batch, single, atol=1e-12)
+            # a batch of the wrong shape is refused as a point of the wrong length is
+            for wrong in (np.ones((3, obj.dimension + 1)), X[:, :-1], X[0], X[None]):
+                with pytest.raises(ValueError, match=r"^expected an array of shape"):
+                    obj.value_many(wrong)
+            # and a row where value is not finite, as value refuses the point
+            X[7, 0] = math.nan
+            with pytest.raises(SolverError, match=rf"^{type(obj).__name__}: value oracle returned non-finite values$"):
+                obj.value_many(X)
 
 
 class TestVerifyOss:

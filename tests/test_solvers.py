@@ -862,6 +862,17 @@ class TestGridExactness:
         p, resolution = case
         assert _candidates(p, resolution) == _accepted(p, resolution)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_cases())
+    def test_rows_ascend_lexicographically(self, case):
+        # full enumeration's order: a batched value's bits may depend on its
+        # row's place in its batch, so the grid's maximum keeps its bits
+        # only while the walk yields the feasible rows in this order
+        p, resolution = case
+        blocks = _lattice_candidates(p, np.linspace(0.0, 1.0, resolution + 1))
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+
     def test_budget_tie_is_decided_as_membership_does(self):
         # budget + MEMBERSHIP_TOL = 0.5 (1 - 5e-13): the index sum 5 lies inside the tie
         # window, and 0.5 + 0.0 lies above the bound
