@@ -487,9 +487,10 @@ def grid_maximum(obj: OssObjective, polytope: Polytope, resolution: int) -> floa
     The lattice is grown one coordinate at a time: the region gives each
     index prefix the interval of digits its next coordinate may take, and
     the walk writes the prefix once per digit of it.  On the last
-    coordinate the interval is exact (:meth:`Polytope._lattice_interval`),
-    so the rows built are the feasible points, each evaluated once and
-    tested for membership by nothing else, and the cost follows the
+    coordinate the interval is exact (:meth:`Polytope._lattice_interval`;
+    a region without a rule of its own has its complete rows tested), so
+    the rows kept are the feasible points, each evaluated once and tested
+    for membership by nothing else, and the cost follows the
     feasible count rather than ``(resolution + 1) ** n``.  The points are
     those of full enumeration, in its order; the maximum can differ from it
     in the last ulp or two, because a batched evaluation's rounding may
