@@ -14,7 +14,8 @@ coordinates at exactly 1 (whose zero factors take the gradient's zero-pair
 path, as at nearly every gradient point of a solve), and
 one build and one value and one gradient of the distance-matrix quadratic,
 for n up to 4096, at points with n/8 and n nonzeros and at the all-ones
-point; a build's traced peak is given against the 8n^2 bytes of one M.
+point; a build's traced peak is given against the 8n^2 bytes of one M, and
+its time beside the number of threads that wrote M.
 Last, it runs the grid oracle on box, cardinality and chain regions of
 dimension 4 to 7 and counts the lattice points it holds and the feasible
 points it evaluates (the only points its walk builds).
@@ -38,6 +39,7 @@ from ossmax import (
     parallel_greedy,
     random_semimetric_instance,
 )
+from ossmax.objectives import _build_workers
 from ossmax.solvers import GRID_POINT_BUDGET
 
 SEEDS = range(300, 305)
@@ -92,7 +94,7 @@ print("1; its exact-zero factors are found and counted on the zero pairs alone."
 
 print()
 print(
-    f"{'n':>6} {'build_s':>8} {'peak_MB':>8} {'peak/8n^2':>10} "
+    f"{'n':>6} {'build_s':>8} {'workers':>8} {'peak_MB':>8} {'peak/8n^2':>10} "
     f"{'point':>12} {'value_ms':>9} {'gradient_ms':>12} {'kept_gradient_ms':>17}"
 )
 for n in (1024, 2048, 4096):
@@ -107,7 +109,7 @@ for n in (1024, 2048, 4096):
         objective = random_semimetric_instance(n, seed=n)
         builds.append(time.perf_counter() - start)
     build = min(builds)
-    built = f"{n:>6} {build:>8.3f} {peak / 1e6:>8.1f} {peak / (8 * n * n):>10.2f}"
+    built = f"{n:>6} {build:>8.3f} {_build_workers(n):>8} {peak / 1e6:>8.1f} {peak / (8 * n * n):>10.2f}"
     rng = np.random.default_rng(n)
     sparse, dense = np.zeros(n), rng.uniform(size=n)
     sparse[rng.choice(n, n // 8, replace=False)] = rng.uniform(size=n // 8)
@@ -127,12 +129,14 @@ for n in (1024, 2048, 4096):
                 calls.append(1e3 * (time.perf_counter() - start))
             timings.append(min(calls))
         print(f"{built} {label:>12} {timings[0]:>9.3f} {timings[1]:>12.3f} {timings[2]:>17.3f}")
-        built = f"{'':>6} {'':>8} {'':>8} {'':>10}"
+        built = f"{'':>6} {'':>8} {'':>8} {'':>8} {'':>10}"
     del objective
 
 print()
 print("A build writes one n x n matrix and keeps it, so its traced peak stays")
-print("near 8n^2 bytes.")
+print("near 8n^2 bytes.  Past n = 1448 it writes M's row blocks from one thread")
+print("per CPU the process may use (at least 2^20 entries each), with the same")
+print("bits as on one thread; each thread adds one 512 KB scratch buffer.")
 print("A quadratic value or gradient costs O(n * |supp x|) on a sparse point,")
 print("O(n) at the all-ones point (M's row sums are kept) and O(n^2) on other")
 print("dense points; a gradient at the point just valued reuses its product and")

@@ -18,7 +18,9 @@ and gradient samples for the stochastic solver.
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -51,11 +53,20 @@ VALUE_MANY_CHUNK = 100_000  # entries of the temporaries per batch of value_many
 #   at one nonzero of n = 256, 1.05x at n/16, and 1.9-3.6x at n <= 128.
 # The distance build that makes M takes its rows in blocks of PRODUCT_BLOCK
 # entries too (2^15-2^16 were the fastest of 2^12...2^18 at n = 512 / 2048 /
-# 4096), and verify_semimetric takes its n^3 residuals in blocks of at least
-# one row of n^2 entries.
+# 4096, on one thread), and verify_semimetric takes its n^3 residuals in
+# blocks of at least one row of n^2 entries.  The build splits its blocks
+# into contiguous ranges, one per CPU the process may use, each of at least
+# BUILD_WORKER_ENTRIES entries of M, and writes the ranges from threads of
+# its own (see _distances); below two ranges' worth (n <= 1448) it runs on
+# the calling thread alone.  On the same VM, one thread against two (median
+# of 9 builds of 2-dimensional points, alternating in one process): 16.7 /
+# 10.6 ms at n = 1500, 41-45 / 23-26 ms at 2048, 107 / 66 ms at 4096 and
+# 234 / 154 ms at 6000.  The floor of 2^20 entries a worker keeps desk
+# builds and n <= 1024 on the calling thread, with no pool to start.
 SUPPORT_SHARE = 4
 SUPPORT_MIN_DIMENSION = 512
 PRODUCT_BLOCK = 1 << 16
+BUILD_WORKER_ENTRIES = 1 << 20
 # The coverage oracles take each covered element's product of its pairs'
 # factors left to right in pair order: by np.multiply.at into ones at
 # SCATTER_MIN_ELEMENTS covered elements or more, and by np.multiply.reduceat
@@ -366,25 +377,37 @@ class CoverageMultilinearObjective(OssObjective):
             if cover and not (0 <= cover[0] and cover[-1] < m):
                 raise ValueError(f"coordinate {i} covers unknown element {cover[0] if cover[0] < 0 else cover[-1]}")
         keys = np.array(sorted({e * n + i for i, cover in enumerate(covers) for e in cover}), dtype=np.intp)
-        self._adopt(weights, covers, keys)
+        self._adopt(weights, n, keys)
+        self._covers = covers
 
-    def _adopt(self, weights: np.ndarray, covers: list, keys: np.ndarray) -> None:
-        """Take valid sorted cover tuples as is, a copy of ``weights``, and
-        the incidence as its sorted keys ``element * n + coordinate``, each
+    def _adopt(self, weights: np.ndarray, n: int, keys: np.ndarray) -> None:
+        """Take a copy of ``weights`` and the incidence of ``n``
+        coordinates as its sorted keys ``element * n + coordinate``, each
         pair once."""
-        n = len(covers)
         self.weights = weights.copy()
-        self.covers = covers
+        self._covers = None  # read from the pairs when first asked for
         rows, self._cols = np.divmod(keys, n)
         first = np.empty(len(rows), dtype=bool)
         first[:1] = True
         np.not_equal(rows[1:], rows[:-1], out=first[1:])
         self._starts = np.flatnonzero(first)  # first pair of each covered element
-        covered = rows[self._starts]
-        self._segment = np.searchsorted(covered, rows)  # covered element of each pair
-        self._covered_weights = self.weights[covered]
+        self._covered = rows[self._starts]
+        self._segment = np.searchsorted(self._covered, rows)  # covered element of each pair
+        self._covered_weights = self.weights[self._covered]
         self._layout = None  # value_many's pair layout, built on its first call
         super().__init__(n, sigma_claimed=0.0)
+
+    @property
+    def covers(self) -> list:
+        """Each coordinate's covered elements, a sorted tuple per
+        coordinate: the tuples given to the constructor, or for a generated
+        instance the ones its pairs hold, built on the first read and kept."""
+        if self._covers is None:
+            # a stable sort of the pairs by coordinate keeps their element order
+            elements = self._covered[self._segment][np.argsort(self._cols, kind="stable")].tolist()
+            ends = np.cumsum(np.bincount(self._cols, minlength=self.dimension)).tolist()
+            self._covers = [tuple(elements[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+        return self._covers
 
     def _products(self, factors) -> np.ndarray:
         """Per covered element, the product of its pairs' ``factors``, taken
@@ -524,34 +547,76 @@ def _ordered_pair_sums(r, starts, segment) -> np.ndarray:
     return np.add.reduceat(r * others, starts)
 
 
+def _build_workers(n: int) -> int:
+    """Threads for the distance build of ``n`` points: one per CPU this
+    process may run on, but no more than leave each at least
+    ``BUILD_WORKER_ENTRIES`` entries of ``M``.  Below two workers' worth the
+    build stays on the calling thread and the CPUs are not asked for."""
+    most = n * n // BUILD_WORKER_ENTRIES
+    if most < 2:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(most, cpus)
+
+
+def _distance_rows(out: np.ndarray, columns: np.ndarray, start: int, stop: int, rows: int) -> None:
+    """Write rows ``start:stop`` of ``_distances``' output a block of
+    ``rows`` rows at a time, with a scratch buffer of this call's own."""
+    buffer = np.empty((min(rows, stop - start), out.shape[1]))
+    for first in range(start, stop, rows):
+        sq = out[first : min(first + rows, stop)]
+        block = columns[:, first : first + len(sq)]
+        d = buffer[: len(sq)]
+        np.subtract.outer(block[0], columns[0], out=sq)
+        np.multiply(sq, sq, out=sq)  # bit for bit 0 + sq, as sq >= +0
+        for k in range(1, len(columns)):
+            np.subtract.outer(block[k], columns[k], out=d)
+            sq += np.multiply(d, d, out=d)
+        np.sqrt(sq, out=sq)
+
+
 def _distances(pts: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``pts``, a block of about
     ``PRODUCT_BLOCK`` entries of rows at a time.  Each block sums its squared
     differences over the point dimensions in order: the first is written
-    straight into the output and the rest are added from one reused buffer,
+    straight into the output and the rest are added from a reused buffer,
     so no temporary as large as the n x n result is made.  The output is
     written once and never zero-filled first; points with no coordinates are
     all at distance 0.  Entry ``(j, i)`` is computed from the same terms as
     ``(i, j)``, and ``(a - b)**2 == (b - a)**2`` exactly, so finite points
     give an exactly symmetric matrix of entries that are ``+0`` or more
-    (``+inf`` where a square overflows), never NaN."""
+    (``+inf`` where a square overflows), never NaN.
+
+    The blocks are split into ``_build_workers(n)`` contiguous ranges.  The
+    calling thread writes the first; each other range goes to a thread of a
+    pool that lives for this call alone, with a buffer of its own.  An
+    entry depends on its own row only and meets the same operations in the
+    same order on any thread, so ``M`` has the same bits for any number of
+    workers; NumPy releases the GIL in these loops, so the ranges run at
+    once.  A worker's exception is raised here."""
     n, dim = pts.shape
     if dim == 0:
         return np.zeros((n, n))
     out = np.empty((n, n))
     rows = max(1, PRODUCT_BLOCK // n)
-    buffer = np.empty((rows, n))
     columns = np.ascontiguousarray(pts.T)  # each point dimension read contiguously
-    for start in range(0, n, rows):
-        block = columns[:, start : start + rows]
-        sq = out[start : start + rows]
-        d = buffer[: len(sq)]
-        np.subtract.outer(block[0], columns[0], out=sq)
-        np.multiply(sq, sq, out=sq)  # bit for bit 0 + sq, as sq >= +0
-        for k in range(1, dim):
-            np.subtract.outer(block[k], columns[k], out=d)
-            sq += np.multiply(d, d, out=d)
-        np.sqrt(sq, out=sq)
+    blocks = -(-n // rows)
+    workers = min(_build_workers(n), blocks)
+    if workers == 1:
+        _distance_rows(out, columns, 0, n, rows)
+        return out
+    bounds = [min(n, rows * (blocks * k // workers)) for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [
+            pool.submit(_distance_rows, out, columns, start, stop, rows)
+            for start, stop in zip(bounds[1:-1], bounds[2:])
+        ]
+        _distance_rows(out, columns, bounds[0], bounds[1], rows)
+        for future in futures:
+            future.result()
     return out
 
 
@@ -608,10 +673,13 @@ def make_coverage_instance(
     The element-by-coordinate draw is made a block of rows at a time and only
     the covered pairs are kept, as keys ``element * n + coordinate``, so no
     m x n array is built; the random stream is the one a single m x n draw
-    would consume.  Only the arguments are checked: every key is drawn once
-    and lies in range, so the keys, sorted once, and the cover tuples read
-    from them are handed to the objective without the constructor's checks
-    and its rebuild of the pairs.
+    would consume, followed by one row of n draws after another for each
+    uncovered element in turn until a row covers it.  Those redraws are
+    made in blocks of rows as well.
+    Only the arguments are checked: every key is drawn once and lies in
+    range, so the keys, sorted once, are handed to the objective without
+    the constructor's checks and its rebuild of the pairs; its ``covers``
+    is read from them when first asked for.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
@@ -625,22 +693,23 @@ def make_coverage_instance(
     keys, uncovered = [], []
     for start in range(0, m, block_rows):
         hit = rng.random((min(block_rows, m - start), n)) < density
-        uncovered.extend((np.flatnonzero(~hit.any(axis=1)) + start).tolist())
+        uncovered.append(np.flatnonzero(~hit.any(axis=1)) + start)
         keys.append(np.flatnonzero(hit) + start * n)
-    for e in uncovered:
-        hit = rng.random(n) < density
-        while not hit.any():
-            hit = rng.random(n) < density
-        keys.append(np.flatnonzero(hit) + e * n)
+    # Each uncovered element, in order, redraws rows until one covers it, so
+    # the k-th covering row of the redraws goes to the k-th pending element.
+    # A block of redraws holds no more rows than elements are still pending,
+    # so it never reaches past the last element's covering row into the
+    # weights' draws.
+    pending = np.concatenate(uncovered)
+    while len(pending):
+        hit = rng.random((min(len(pending), block_rows), n)) < density
+        covering = np.flatnonzero(hit.any(axis=1))
+        row, column = np.nonzero(hit[covering])
+        keys.append(pending[row] * n + column)
+        pending = pending[len(covering) :]
     keys = np.sort(np.concatenate(keys))
     weights = rng.uniform(lo, hi, size=m)
-    # each coordinate's elements, in order: a stable sort of the pairs by
-    # coordinate keeps the element order of the keys
-    elements, coordinates = np.divmod(keys, n)
-    by_coordinate = elements[np.argsort(coordinates, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(coordinates, minlength=n)).tolist()
-    covers = [tuple(by_coordinate[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-    return _adopted(CoverageMultilinearObjective, weights, covers, keys)
+    return _adopted(CoverageMultilinearObjective, weights, n, keys)
 
 
 def random_semimetric_instance(

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -271,6 +272,78 @@ class TestQuadraticAdoptsM:
         n = 1024
         _, peak = _traced_peak(lambda: random_semimetric_instance(n, seed=4))
         assert peak <= 1.25 * 8 * n * n
+
+
+def _distances_by_row(points):
+    """Reference distances, one row at a time: each row sums its squared
+    differences over the point dimensions in order, from +0."""
+    n, dim = points.shape
+    M = np.zeros((n, n))
+    for i in range(n):
+        for k in range(dim):
+            M[i] += (points[i, k] - points[:, k]) ** 2
+    return np.sqrt(M)
+
+
+class TestDistanceBuild:
+    """The distance build writes M's row blocks from ``_build_workers(n)``
+    threads, with the same bits for any number of them."""
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 9])
+    @pytest.mark.parametrize("n", [3, 777])
+    def test_same_bits_for_any_worker_count(self, n, dim, monkeypatch):
+        # 777 points make ten blocks of PRODUCT_BLOCK // 777 = 84 rows, the
+        # last of 21; three points make one block, fewer than the workers
+        points = np.random.default_rng(n + dim).uniform(-1.0, 1.0, size=(n, dim))
+        expected = _distances_by_row(points).tobytes()
+        built = []  # each kept, so no build is written into the last one's memory
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ossmax.objectives, "_build_workers", lambda n, w=workers: w)
+            built.append(make_semimetric_instance(points, np.ones(n)).M)
+            assert built[-1].tobytes() == expected
+
+    def test_pinned_build(self):
+        # digests recorded while the build ran on one thread alone; with two
+        # or more CPUs it now runs on two threads
+        obj = random_semimetric_instance(2048, seed=2048)
+        assert hashlib.sha256(obj.M.tobytes()).hexdigest() == (
+            "1941309eabbadcebd221eae33328a152e184e2fc750a9cedd525059986484226"
+        )
+        assert hashlib.sha256(obj._row_sums.tobytes()).hexdigest() == (
+            "61cee1c6edb2efac2aebebaeab807bd34fdcf85fb7e1ae481c3137b033a46458"
+        )
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        # at least BUILD_WORKER_ENTRIES = 2^20 entries of M a worker
+        assert [ossmax.objectives._build_workers(n) for n in (1449, 2048, 4096)] == [2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ossmax.objectives._build_workers(4096) == 8
+
+    def test_small_builds_ask_for_no_cpus_and_no_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("asked for")
+
+        monkeypatch.setattr(os, "sched_getaffinity", refuse, raising=False)
+        monkeypatch.setattr(os, "cpu_count", refuse)
+        monkeypatch.setattr(ossmax.objectives, "ThreadPoolExecutor", refuse)
+        random_semimetric_instance(1448, seed=1)  # 1448^2 < 2 * 2^20 entries
+
+    def test_worker_failure_is_raised_and_no_thread_outlives_the_build(self, monkeypatch):
+        write = ossmax.objectives._distance_rows
+
+        def failing(out, columns, start, stop, rows):
+            if start > 0:  # every range but the calling thread's
+                raise RuntimeError("worker failed")
+            write(out, columns, start, stop, rows)
+
+        monkeypatch.setattr(ossmax.objectives, "_distance_rows", failing)
+        monkeypatch.setattr(ossmax.objectives, "_build_workers", lambda n: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            random_semimetric_instance(777, seed=1)
+        assert threading.active_count() == before
 
 
 def _dense_semimetric_report(M, sigma, tol=1e-9):
